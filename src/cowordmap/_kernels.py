@@ -1,63 +1,13 @@
 """Numeric hot kernel: all-pairs shortest paths over a dense length matrix.
 
-Two interchangeable backends live here. The default is numba ``@njit``
-(compiled on first use, cached on disk); setting the environment variable
-``COWORDMAP_NO_NUMBA=1`` before import selects the pure-numpy fallback, which
-is also used automatically when numba is not importable. Both backends run
-the same Floyd-Warshall relaxation, so each is deterministic; across backends
-results may differ in the last float ulps.
-
-``benchmarks/bench_kernels.py`` compares the two.
+``layout.graph_distances`` and ``network.hop_distance_matrix`` both call it
+as ``_kernels.floyd_warshall``. The relaxation order is fixed, so results are
+bitwise reproducible and the maps built on them stay byte-stable.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("COWORDMAP_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
-
-
-# --- pure numpy backend -----------------------------------------------------
-
-
-def _floyd_warshall_numpy(dist: np.ndarray) -> np.ndarray:
-    n = dist.shape[0]
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return dist
-
-
-# --- numba backend ----------------------------------------------------------
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _floyd_warshall_nb(dist):
-        n = dist.shape[0]
-        for k in range(n):
-            for i in range(n):
-                dik = dist[i, k]
-                for j in range(n):
-                    alt = dik + dist[k, j]
-                    if alt < dist[i, j]:
-                        dist[i, j] = alt
-        return dist
-
-
-USE_NUMBA = _HAVE_NUMBA and not _env_disabled()
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
 
 def floyd_warshall(dist: np.ndarray) -> np.ndarray:
@@ -65,11 +15,7 @@ def floyd_warshall(dist: np.ndarray) -> np.ndarray:
 
     Missing edges are ``np.inf``; the diagonal must be 0.
     """
-    if USE_NUMBA:
-        return _floyd_warshall_nb(dist)
-    return _floyd_warshall_numpy(dist)
-
-
-def warmup() -> None:
-    """Force JIT compilation (or cache load) of the numba kernel."""
-    floyd_warshall(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    n = dist.shape[0]
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    return dist

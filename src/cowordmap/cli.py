@@ -1,8 +1,9 @@
 """Command-line interface.
 
-One subcommand per pipeline stage plus ``run`` for the whole chain. Values
-come from flags first, then the ``--config`` file (``key = value`` lines),
-then defaults. Exit codes: 0 success, 1 input error, 2 pipeline error;
+One subcommand per entry of ``pipeline.stage_table``, plus ``run`` for the
+whole chain and ``compare`` for two existing Pajek networks. Values come from
+flags first, then the ``--config`` file (``key = value`` lines), then
+defaults. Exit codes: 0 success, 1 input error, 2 pipeline error;
 diagnostics go to stderr.
 """
 
@@ -22,14 +23,8 @@ from .pipeline import (
     load_config_file,
     parse_windows,
     run_pipeline,
-    stage_cluster,
-    stage_compare_windows,
-    stage_export,
-    stage_ingest,
-    stage_layout,
-    stage_net,
-    stage_normalize,
-    stage_report,
+    run_stage,
+    stage_table,
 )
 from .svgmap import SvgOptions
 
@@ -138,18 +133,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cowordmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stage_help = {
-        "run": "run the whole pipeline and write the manifest",
-        "ingest": "parse, validate and filter the records file",
-        "report": "classification distribution and cross-tab tables",
-        "normalize": "canonicalize keywords; frequency and coverage tables",
-        "net": "build and threshold the co-occurrence network",
-        "cluster": "detect thematic clusters",
-        "layout": "compute the Kamada-Kawai map coordinates",
-        "export": "render the SVG label map",
-        "compare": "diff two Pajek networks",
-    }
-    for name, text in stage_help.items():
+    commands = [("run", "run the whole pipeline and write the manifest")]
+    commands += [(name, text) for name, _, text in stage_table()]
+    commands.append(("compare", "diff two Pajek networks"))
+    for name, text in commands:
         p = sub.add_parser(name, help=text, description=text)
         _add_config_flags(p)
         if name == "report":
@@ -190,18 +177,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        stages = {
-            "ingest": stage_ingest,
-            "normalize": stage_normalize,
-            "net": stage_net,
-            "cluster": stage_cluster,
-            "layout": stage_layout,
-            "export": stage_export,
-        }
-        if args.command == "report":
-            stats = _run_stage("report", lambda: stage_report(config, args.scheme, args.by))
-        else:
-            stats = _run_stage(args.command, lambda: stages[args.command](config))
+        fn = next(f for name, f, _ in stage_table() if name == args.command)
+        extra = (args.scheme, args.by) if args.command == "report" else ()
+        stats = run_stage(args.command, fn, config, *extra)
         summary = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"{args.command}: {summary}")
         return 0
@@ -214,15 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pipeline bug or environment failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_stage(name: str, fn):
-    try:
-        return fn()
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
 
 
 if __name__ == "__main__":

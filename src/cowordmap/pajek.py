@@ -16,8 +16,13 @@ from .layout import LayoutMap
 from .network import CoNetwork
 
 
+def representable(label: str) -> bool:
+    """Whether a label fits the dialect: no '"' and no line break."""
+    return not ('"' in label or "\n" in label or "\r" in label)
+
+
 def _quote(label: str) -> str:
-    if '"' in label or "\n" in label or "\r" in label:
+    if not representable(label):
         raise ValueError(f"label not representable in Pajek dialect: {label!r}")
     return f'"{label}"'
 
@@ -163,3 +168,18 @@ def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
         Path(path).write_text(format_pajek_clu(partition), encoding="utf-8", newline="\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
+    """Cluster ids of a partition file that must cover exactly ``n`` vertices."""
+    path = Path(path)
+    lines = [l.strip() for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+    if not lines or not lines[0].lower().startswith("*vertices"):
+        raise InputError(f"{path}: not a Pajek partition file")
+    body = lines[1:]
+    if len(body) != n:
+        raise InputError(f"{path}: has {len(body)} assignments, network has {n} vertices")
+    try:
+        return tuple(int(x) for x in body)
+    except ValueError:
+        raise InputError(f"{path}: non-integer cluster id")

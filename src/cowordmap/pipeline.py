@@ -1,11 +1,12 @@
 """End-to-end pipeline with manifest-recorded, reproducible runs.
 
 Every stage reads its inputs from the output directory (prior-stage files)
-and writes plain CSV/Pajek/SVG artifacts there. ``run_pipeline`` simply
-chains the same stage functions the CLI subcommands expose, so running
-stages one by one produces the same bytes as a full run. Intermediate
-artifacts are flat files on purpose: at this corpus scale everything should
-be inspectable and diffable.
+and writes plain CSV/Pajek/SVG artifacts there. ``stage_table`` lists the
+stages in run order; ``run_pipeline`` chains them and the CLI exposes each
+one as a subcommand, both through ``run_stage``, so running stages one by
+one produces the same bytes as a full run. Intermediate artifacts are flat
+files on purpose: at this corpus scale everything should be inspectable and
+diffable.
 """
 
 from __future__ import annotations
@@ -13,18 +14,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, _kernels
+from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
 from .errors import InputError, StageError
 from .layout import LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, threshold_filter
-from .pajek import read_pajek_net, write_pajek_clu, write_pajek_net
+from .pajek import read_pajek_clu, read_pajek_net, representable, write_pajek_clu, write_pajek_net
 from .records import (
     ClassScheme,
     PeriodWindow,
@@ -281,6 +283,11 @@ def stage_normalize(config: RunConfig) -> dict:
     """Canonicalize keywords and write the descriptor/frequency artifacts."""
     rs = _load_ingested(config)
     idx = normalize(rs, _load_mapping(config), passthrough=config.passthrough)
+    bad = min((d for d in idx.totals if not representable(d)), default=None)
+    if bad is not None:
+        rid = next(r.id for r in rs if bad in idx.per_record[r.id])
+        raise InputError(f"record '{rid}': descriptor {bad!r} contains '\"' or a line break, "
+                         "which a Pajek label cannot hold")
     rows = []
     for r in rs:
         for d in sorted(idx.per_record.get(r.id, ())):
@@ -344,7 +351,6 @@ def stage_layout(config: RunConfig) -> dict:
         "iterations": layout.iterations,
         "converged": layout.converged,
         "final_stress": layout.final_stress,
-        "backend": _kernels.BACKEND,
     }
 
 
@@ -354,25 +360,12 @@ def stage_export(config: RunConfig) -> dict:
     if layout is None:
         raise InputError(f"{net_path} has no coordinates; run the 'layout' stage first")
     clu_path = _require(config.out_dir / CLU_FILE, "cluster")
-    assignment = _read_clu(clu_path, net.n_vertices)
+    assignment = read_pajek_clu(clu_path, net.n_vertices)
     partition = ClusterPartition(assignment, 0.0)
     weighted = _read_network(config)
     freq = dict(zip(weighted.labels, weighted.require_weights()))
     write_label_map_svg(net, layout, partition, freq, config.out_dir / SVG_FILE, config.svg)
     return {"files": [SVG_FILE]}
-
-
-def _read_clu(path: Path, n: int) -> tuple[int, ...]:
-    lines = [l.strip() for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise InputError(f"{path}: not a Pajek partition file")
-    body = lines[1:]
-    if len(body) != n:
-        raise InputError(f"{path}: has {len(body)} assignments, network has {n} vertices")
-    try:
-        return tuple(int(x) for x in body)
-    except ValueError:
-        raise InputError(f"{path}: non-integer cluster id")
 
 
 def compare_files(a_path: Path, b_path: Path, labels: tuple[str, str], out_path: Path) -> dict:
@@ -416,7 +409,34 @@ def stage_compare_windows(config: RunConfig) -> dict:
     }
 
 
-# --- full run ----------------------------------------------------------------
+# --- stage table and full run ------------------------------------------------
+
+
+def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
+    """(name, function, help) for every stage, in run order.
+
+    Built on each call, so the stage functions are looked up on this module
+    when the table is used, not when it is imported.
+    """
+    return (
+        ("ingest", stage_ingest, "parse, validate and filter the records file"),
+        ("report", stage_report, "classification distribution and cross-tab tables"),
+        ("normalize", stage_normalize, "canonicalize keywords; frequency and coverage tables"),
+        ("net", stage_net, "build and threshold the co-occurrence network"),
+        ("cluster", stage_cluster, "detect thematic clusters"),
+        ("layout", stage_layout, "compute the Kamada-Kawai map coordinates"),
+        ("export", stage_export, "render the SVG label map"),
+    )
+
+
+def run_stage(name: str, fn: Callable[..., dict], *args) -> dict:
+    """Call one stage; any failure comes out as a StageError naming it."""
+    try:
+        return fn(*args)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def _sha256(path: Path) -> str:
@@ -441,29 +461,13 @@ def run_pipeline(config: RunConfig) -> dict:
             raise StageError("ingest", InputError(f"input file {path} does not exist"))
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
-    stages: dict[str, dict] = {}
-    plan = [
-        ("ingest", stage_ingest),
-        ("report", stage_report),
-        ("normalize", stage_normalize),
-        ("net", stage_net),
-        ("cluster", stage_cluster),
-        ("layout", stage_layout),
-        ("export", stage_export),
-    ]
+    plan = [(name, fn) for name, fn, _ in stage_table()]
     if len(config.windows) == 2:
         plan.append(("compare", stage_compare_windows))
-    for name, fn in plan:
-        try:
-            stages[name] = fn(config)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+    stages = {name: run_stage(name, fn, config) for name, fn in plan}
 
     manifest = {
         "artifact": {"name": "cowordmap", "version": __version__},
-        "backend": _kernels.BACKEND,
         "config": config.echo(),
         "inputs": digests,
         "stages": stages,

@@ -9,7 +9,7 @@ from each of two classification schemes, applied manually upstream.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
@@ -74,7 +74,6 @@ class Record:
 @dataclass(frozen=True)
 class RecordSet:
     records: tuple[Record, ...]
-    provenance: tuple[str, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -164,7 +163,7 @@ def parse_records(
             records.append(
                 Record(rid, source, year, title, class_a or None, class_b or None, kw)
             )
-    return RecordSet(tuple(records), (f"parsed {len(records)} records from {path.name}",))
+    return RecordSet(tuple(records))
 
 
 def write_records(rs: RecordSet, path: str | Path) -> None:
@@ -184,47 +183,30 @@ def filter_records(
     years: PeriodWindow | None = None,
 ) -> RecordSet:
     """Subset of ``rs`` matching every given predicate; the input is untouched."""
-    kept = tuple(
+    return RecordSet(tuple(
         r
         for r in rs
         if (source is None or r.source == source) and (years is None or r.year in years)
-    )
-    notes = []
-    if source is not None:
-        notes.append(f"source={source}")
-    if years is not None:
-        notes.append(f"years={years.label}")
-    if not notes:
-        return replace(rs, provenance=rs.provenance)
-    return RecordSet(kept, rs.provenance + (f"filter {' '.join(notes)}: {len(kept)} kept",))
+    ))
 
 
 def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]:
     """One RecordSet per window; records outside every window are dropped.
 
     Windows must be pairwise disjoint, so each record lands in at most one
-    output. The drop count is recorded in each output's provenance.
+    output.
     """
     for i, a in enumerate(windows):
         for b in windows[i + 1 :]:
             if a.overlaps(b):
                 raise InputError(f"windows {a.label} and {b.label} overlap")
     buckets: list[list[Record]] = [[] for _ in windows]
-    dropped = 0
     for r in rs:
         for i, w in enumerate(windows):
             if r.year in w:
                 buckets[i].append(r)
                 break
-        else:
-            dropped += 1
-    return [
-        RecordSet(
-            tuple(bucket),
-            rs.provenance + (f"window {w.label}: {len(bucket)} kept, {dropped} outside all windows",),
-        )
-        for w, bucket in zip(windows, buckets)
-    ]
+    return [RecordSet(tuple(bucket)) for bucket in buckets]
 
 
 def percent_round_half_up(count: int, total: int) -> int:

@@ -50,7 +50,6 @@ class OccurrenceIndex:
     totals: dict[str, int]
     unmapped: dict[str, int]
     token_count: int
-    provenance: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,7 @@ def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> O
             found.add(canonical)
         per_record[record.id] = frozenset(found)
         totals.update(found)
-    provenance = rs.provenance + (
-        f"normalize: {len(totals)} descriptors, {sum(totals.values())} occurrences, "
-        f"{tokens} tokens before dedup, passthrough={'on' if passthrough else 'off'}",
-    )
-    return OccurrenceIndex(per_record, dict(totals), dict(unmapped), tokens, provenance)
+    return OccurrenceIndex(per_record, dict(totals), dict(unmapped), tokens)
 
 
 def descriptor_frequencies(idx: OccurrenceIndex, n: int | None = None) -> list[tuple[str, int]]:

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cowordmap import _kernels
 from cowordmap.network import CoNetwork, build_network, make_network
 from cowordmap.pipeline import default_scheme_path
 from cowordmap.records import parse_records, load_scheme
@@ -15,12 +14,6 @@ DATA = Path(__file__).parent / "data"
 RECORDS_CSV = DATA / "records.csv"
 MAPPING_TXT = DATA / "mapping.txt"
 PAJEK_DIR = DATA / "pajek"
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    _kernels.warmup()
-    return _kernels.BACKEND
 
 
 @pytest.fixture(scope="session")

@@ -192,7 +192,7 @@ def test_clustering_oracle():
     )
 
 
-def test_layout_correctness(warm_kernels):
+def test_layout_correctness():
     start = time.perf_counter()
     problems = []
 
@@ -249,7 +249,7 @@ def test_layout_correctness(warm_kernels):
     )
 
 
-def test_serialization(tmp_path, warm_kernels):
+def test_serialization(tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     ok = True
@@ -288,7 +288,7 @@ def test_serialization(tmp_path, warm_kernels):
            f"pajek={ok} clu={clu_ok} svg={svg_ok} in {elapsed:.2f}s")
 
 
-def test_end_to_end_determinism(tmp_path, warm_kernels):
+def test_end_to_end_determinism(tmp_path):
     import json
 
     from cowordmap.pipeline import MANIFEST_FILE, RunConfig, run_pipeline

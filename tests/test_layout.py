@@ -47,15 +47,19 @@ def test_graph_distances_path():
 
 
 def test_graph_distances_fixture_matches_floyd_warshall_oracle(fixture_network):
-    lengths = {(i, j): 1.0 / c for i, j, c in fixture_network.edges}
-    expected = oracles.floyd_warshall(fixture_network.n_vertices, lengths)
-    got = full_distance_matrix(fixture_network)
-    for i in range(fixture_network.n_vertices):
-        for j in range(fixture_network.n_vertices):
-            if math.isinf(expected[i][j]):
-                assert math.isinf(got[i, j])
-            else:
-                assert got[i, j] == pytest.approx(expected[i][j], rel=1e-12)
+    # the fixture, then connected random graphs of 2 to 40 vertices
+    rng = np.random.default_rng(1)
+    cases = [fixture_network] + [connected_random_network(rng, n) for n in (2, 5, 17, 40)]
+    for net in cases:
+        lengths = {(i, j): 1.0 / c for i, j, c in net.edges}
+        expected = oracles.floyd_warshall(net.n_vertices, lengths)
+        got = full_distance_matrix(net)
+        for i in range(net.n_vertices):
+            for j in range(net.n_vertices):
+                if math.isinf(expected[i][j]):
+                    assert math.isinf(got[i, j])
+                else:
+                    assert got[i, j] == pytest.approx(expected[i][j], rel=1e-12), (net.n_vertices, i, j)
 
 
 def random_positions(rng, n, spread=3.0):
@@ -118,7 +122,7 @@ def test_triangle_becomes_equilateral():
         assert abs(d - mean) / mean < 1e-6
 
 
-def test_stress_never_increases(warm_kernels):
+def test_stress_never_increases():
     rng = np.random.default_rng(29)
     for _ in range(10):
         net = connected_random_network(rng, int(rng.integers(3, 12)))

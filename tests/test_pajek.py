@@ -11,6 +11,7 @@ from cowordmap.network import make_network
 from cowordmap.pajek import (
     format_pajek_clu,
     format_pajek_net,
+    read_pajek_clu,
     read_pajek_net,
     write_pajek_clu,
     write_pajek_net,
@@ -98,6 +99,10 @@ def test_read_rejects_malformed_lines(tmp_path):
     path.write_text("nonsense\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"expected '\*Vertices n'"):
         read_pajek_net(path)
+    clu = tmp_path / "bad.clu"
+    clu.write_text("*Vertices 3\n1\n2\n", encoding="utf-8")
+    with pytest.raises(InputError, match="has 2 assignments, network has 3 vertices"):
+        read_pajek_clu(clu, 3)
 
 
 def test_read_rejects_partial_coordinates(tmp_path):
@@ -126,6 +131,15 @@ def test_clu_line_count(fixture_network, tmp_path):
     write_pajek_clu(p, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == fixture_network.n_vertices + 1
+
+
+def test_clu_write_read_roundtrip(fixture_network, tmp_path):
+    from cowordmap.clusters import detect_clusters
+
+    p = detect_clusters(fixture_network)
+    path = tmp_path / "p.clu"
+    write_pajek_clu(p, path)
+    assert read_pajek_clu(path, fixture_network.n_vertices) == p.assignment
 
 
 def test_layout_must_cover_vertices():

@@ -17,7 +17,8 @@ from cowordmap.pipeline import (
     MANIFEST_FILE,
     RunConfig,
     run_pipeline,
-    stage_ingest,
+    stage_compare_windows,
+    stage_table,
 )
 from cowordmap.records import PeriodWindow
 
@@ -64,7 +65,7 @@ def without_timestamps(manifest_bytes: bytes) -> dict:
     return data
 
 
-def test_run_pipeline_outputs_and_manifest_counts(tmp_path, warm_kernels):
+def test_run_pipeline_outputs_and_manifest_counts(tmp_path):
     manifest = run_pipeline(fixture_config(tmp_path / "out"))
     assert set(p.name for p in (tmp_path / "out").iterdir()) == EXPECTED_FILES
 
@@ -100,7 +101,7 @@ def test_empty_records_file_names_ingest_stage(tmp_path):
     assert isinstance(err.value.cause, InputError)
 
 
-def test_rerun_is_byte_identical(tmp_path, warm_kernels):
+def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "out"
     config = fixture_config(out)
     run_pipeline(config)
@@ -115,31 +116,18 @@ def test_rerun_is_byte_identical(tmp_path, warm_kernels):
             assert first[name] == second[name], name
 
 
-def test_stage_isolation_matches_full_run(tmp_path, warm_kernels):
+def test_stage_isolation_matches_full_run(tmp_path, capsys):
     full = tmp_path / "full"
     staged = tmp_path / "staged"
     run_pipeline(fixture_config(full))
 
-    config = fixture_config(staged)
-    staged.mkdir()
-    from cowordmap.pipeline import (
-        stage_cluster,
-        stage_compare_windows,
-        stage_export,
-        stage_layout,
-        stage_net,
-        stage_normalize,
-        stage_report,
-    )
-
-    stage_ingest(config)
-    stage_report(config)
-    stage_normalize(config)
-    stage_net(config)
-    stage_cluster(config)
-    stage_layout(config)
-    stage_export(config)
-    stage_compare_windows(config)
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(staged),
+            "--windows", "2001-2006,2007-2012"]
+    names = [name for name, _, _ in stage_table()]
+    assert names == ["ingest", "report", "normalize", "net", "cluster", "layout", "export"]
+    for name in names:
+        assert main([name, *args]) == 0, capsys.readouterr().err
+    stage_compare_windows(fixture_config(staged))
 
     full_files = snapshot(full)
     staged_files = snapshot(staged)
@@ -163,7 +151,7 @@ def test_cli_version(capsys):
     assert "cowordmap 0.1.0" in capsys.readouterr().out
 
 
-def test_cli_run_and_exit_codes(tmp_path, capsys, warm_kernels):
+def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
         "run",
@@ -187,6 +175,36 @@ def test_cli_empty_corpus_exit_one(tmp_path, capsys):
     assert captured.err != "" and "error" in captured.err
 
 
+def quote_corpus(tmp_path: Path, keywords: str) -> Path:
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "id,source,year,title,class_a,class_b,keywords\n"
+        "r1,WOS,2005,one,,,alpha; beta\n"
+        f"r2,WOS,2006,two,,,{keywords}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_cli_passthrough_quote_keyword_fails_normalize(tmp_path, capsys):
+    records = quote_corpus(tmp_path, '"say ""hi""; alpha"')
+    code = main(["run", "--records", str(records), "--out", str(tmp_path / "out"), "--min-occ", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "stage 'normalize'" in err and "record 'r2'" in err and 'say "hi"' in err
+
+
+def test_cli_mapped_quote_descriptor_fails_normalize(tmp_path, capsys):
+    records = quote_corpus(tmp_path, "x; alpha")
+    mapping = tmp_path / "mapping.txt"
+    mapping.write_text('x -> say "hi"\n', encoding="utf-8")
+    code = main(["run", "--records", str(records), "--mapping", str(mapping),
+                 "--out", str(tmp_path / "out"), "--min-occ", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "stage 'normalize'" in err and "record 'r2'" in err and 'say "hi"' in err
+
+
 def test_cli_unknown_flag_exit_one(tmp_path, capsys):
     assert main(["run", "--nope"]) == 1
     assert "error" in capsys.readouterr().err
@@ -197,7 +215,7 @@ def test_cli_missing_records_exit_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_net_threshold_monotone(tmp_path, capsys, warm_kernels):
+def test_cli_net_threshold_monotone(tmp_path, capsys):
     args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT)]
     out1 = tmp_path / "one"
     out5 = tmp_path / "five"
@@ -238,7 +256,7 @@ def test_cli_report_by_period_matches_spreadsheet_oracle(tmp_path, capsys):
             assert int(row[col + 1]) == expected_pct
 
 
-def test_cli_compare_matches_pipeline_compare(tmp_path, warm_kernels):
+def test_cli_compare_matches_pipeline_compare(tmp_path):
     out = tmp_path / "out"
     run_pipeline(fixture_config(out))
     cmp_out = tmp_path / "cmp"
@@ -257,8 +275,6 @@ def test_cli_compare_matches_pipeline_compare(tmp_path, warm_kernels):
 def test_cli_compare_needs_windows_for_pipeline(tmp_path):
     config = fixture_config(tmp_path / "out", windows=(PeriodWindow(2001, 2012),))
     with pytest.raises(InputError, match="exactly two"):
-        from cowordmap.pipeline import stage_compare_windows
-
         (tmp_path / "out").mkdir()
         stage_compare_windows(config)
 
