@@ -4,7 +4,8 @@ One subcommand per entry of ``pipeline.stage_table``, plus ``run`` for the
 whole chain and ``compare`` for two existing Pajek networks. Values come from
 flags first, then the ``--config`` file (``key = value`` lines), then
 defaults. Exit codes: 0 success, 1 input error, 2 pipeline error;
-diagnostics go to stderr.
+diagnostics go to stderr, and so does a warning when the layout did not
+converge (the exit code stays 0).
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_unconverged(layout: dict, config: RunConfig) -> None:
+    if not layout["converged"]:
+        print(f"warning: layout did not converge within {config.layout.max_iterations} iterations "
+              f"per component ({layout['iterations']} used over all components)", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     try:
@@ -174,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"run: {counts['ingest']['records']} records, "
                   f"{counts['net']['vertices']} vertices, {counts['net']['edges']} edges, "
                   f"{counts['cluster']['clusters']} clusters -> {config.out_dir}")
+            _warn_unconverged(counts["layout"], config)
             return 0
 
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         stats = run_stage(args.command, fn, config, *extra)
         summary = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"{args.command}: {summary}")
+        if args.command == "layout":
+            _warn_unconverged(stats, config)
         return 0
     except StageError as exc:
         print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)

@@ -7,16 +7,21 @@ their shortest-path distance. Stress is
     E = sum_{i<j} (|p_i - p_j| - scale * d_ij)^2 / d_ij^2
 
 minimized per connected component over all of its coordinates at once by
-L-BFGS-B with the analytic gradient ``stress_gradient``. Initialization is a
-circle in canonical vertex order, so runs are reproducible without a seed.
+L-BFGS-B. ``stress_objective`` is the one implementation of E: built once
+per component, with every term that depends only on the distances
+precomputed, it returns E and its analytic gradient from a single pass over
+the pair matrix. ``stress`` and ``stress_gradient`` are thin wrappers over
+it. scipy's optimizer is imported by the first layout, not at start-up.
+Initialization is a circle in canonical vertex order, so runs are
+reproducible without a seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from .network import CoNetwork, component_subnetworks
@@ -85,30 +90,72 @@ def graph_distances(net: CoNetwork) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return out
 
 
-def _offsets(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and y offsets p_i - p_j over the full pair matrix."""
-    coords = np.asarray(coords, dtype=np.float64)
-    return coords[:, 0, None] - coords[None, :, 0], coords[:, 1, None] - coords[None, :, 1]
+def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """One component's stress as a function of its coordinates.
+
+    Everything that depends only on ``dmat`` and ``scale`` is computed here,
+    once. The returned function maps coordinates (``(m, 2)`` or flat) to
+    ``(stress, flat gradient)`` in one pass over the pair matrix: pairs at
+    infinite graph distance, and each vertex with itself, add nothing.
+    """
+    m = dmat.shape[0]
+    finite = np.isfinite(dmat)
+    np.fill_diagonal(finite, False)
+    off = ~finite
+    upper = np.flatnonzero(np.triu(finite, 1))
+    d_up = dmat.ravel().take(upper)
+    target_up = scale * d_up
+    d2_up = d_up * d_up
+    d = np.where(finite, dmat, 1.0)
+    target = scale * d
+    weight = 2.0 / (d * d)
+    dx = np.empty((m, m))
+    dy = np.empty((m, m))
+    r = np.empty((m, m))
+    sq = np.empty((m, m))
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        p = np.asarray(x, dtype=np.float64).reshape(m, 2)
+        np.subtract.outer(p[:, 0], p[:, 0], out=dx)
+        np.subtract.outer(p[:, 1], p[:, 1], out=dy)
+        np.multiply(dx, dx, out=r)
+        np.multiply(dy, dy, out=sq)
+        np.add(r, sq, out=r)
+        np.sqrt(r, out=r)
+        # value: sum over i<j of (r - scale d)^2 / d^2
+        e = r.take(upper)
+        np.subtract(e, target_up, out=e)
+        np.multiply(e, e, out=e)
+        np.divide(e, d2_up, out=e)
+        value = float(e.sum())
+        # gradient factor 2/d^2 (1 - scale d / r), +0.0 off the finite pairs
+        np.maximum(r, 1e-12, out=r)
+        np.divide(target, r, out=r)
+        np.subtract(1.0, r, out=r)
+        np.multiply(weight, r, out=r)
+        np.copyto(r, 0.0, where=off)
+        np.multiply(r, dx, out=dx)
+        np.multiply(r, dy, out=dy)
+        return value, np.column_stack((dx.sum(axis=1), dy.sum(axis=1))).ravel()
+
+    return objective
 
 
 def stress(coords: np.ndarray, dmat: np.ndarray, scale: float) -> float:
     """Total stress; pairs at infinite graph distance contribute nothing."""
-    upper = np.triu(np.isfinite(dmat), 1)
-    d = dmat[upper]
-    dx, dy = _offsets(coords)
-    dist = np.sqrt(dx * dx + dy * dy)[upper]
-    return float(((dist - scale * d) ** 2 / (d * d)).sum())
+    return stress_objective(dmat, scale)(coords)[0]
 
 
 def stress_gradient(coords: np.ndarray, dmat: np.ndarray, scale: float) -> np.ndarray:
     """Analytic gradient of ``stress`` with respect to every coordinate."""
-    finite = np.isfinite(dmat)
-    np.fill_diagonal(finite, False)
-    d = np.where(finite, dmat, 1.0)
-    dx, dy = _offsets(coords)
-    dist = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
-    factor = np.where(finite, (2.0 / (d * d)) * (1.0 - scale * d / dist), 0.0)
-    return np.column_stack(((factor * dx).sum(axis=1), (factor * dy).sum(axis=1)))
+    return stress_objective(dmat, scale)(coords)[1].reshape(-1, 2)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use to keep start-up light."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _circle_start(m: int, radius: float, rng: np.random.Generator | None) -> np.ndarray:
@@ -128,12 +175,8 @@ def _minimize_component(
     starts at the stress of ``pos`` and adds one entry per accepted iteration.
     """
     m = pos.shape[0]
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = x.reshape(m, 2)
-        return stress(p, dmat, params.scale), stress_gradient(p, dmat, params.scale).ravel()
-
-    trace = [stress(pos, dmat, params.scale)]
+    objective = stress_objective(dmat, params.scale)
+    trace = [objective(pos)[0]]
 
     def record(intermediate_result) -> None:
         trace.append(float(intermediate_result.fun))
@@ -153,7 +196,7 @@ def _minimize_component(
         },
     )
     out = result.x.reshape(m, 2)
-    norms = np.sqrt((stress_gradient(out, dmat, params.scale) ** 2).sum(axis=1))
+    norms = np.sqrt((objective(out)[1].reshape(m, 2) ** 2).sum(axis=1))
     return out, int(result.nit), bool((norms < params.tolerance).all()), trace
 
 

@@ -17,6 +17,7 @@ from cowordmap.layout import (
     pack_components,
     stress,
     stress_gradient,
+    stress_objective,
 )
 from cowordmap.network import component_subnetworks, make_network, threshold_filter
 
@@ -99,6 +100,52 @@ def test_gradient_matches_finite_differences():
         fd = np.array(oracles.stress_gradient_fd(pos.tolist(), d.tolist(), 1.0))
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(analytic - fd) / denom < 1e-5
+
+
+def test_objective_is_stress_and_gradient_in_one_pass():
+    rng = np.random.default_rng(41)
+    net = connected_random_network(rng, 15)
+    d = full_distance_matrix(net)
+    pos = random_positions(rng, net.n_vertices)
+    value, grad = stress_objective(d, 1.5)(pos.ravel())
+    assert value == stress(pos, d, 1.5)
+    assert grad.shape == (2 * net.n_vertices,)
+    assert np.array_equal(grad.reshape(-1, 2), stress_gradient(pos, d, 1.5))
+    # bit for bit the element-wise formula, summed in the same order
+    dx, dy = pos[:, 0, None] - pos[None, :, 0], pos[:, 1, None] - pos[None, :, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    upper = np.triu(np.isfinite(d), 1)
+    assert value == float(((r[upper] - 1.5 * d[upper]) ** 2 / (d[upper] * d[upper])).sum())
+    finite = np.isfinite(d)
+    np.fill_diagonal(finite, False)
+    dd = np.where(finite, d, 1.0)
+    factor = np.where(finite, (2.0 / (dd * dd)) * (1.0 - 1.5 * dd / np.maximum(r, 1e-12)), 0.0)
+    expected = np.column_stack(((factor * dx).sum(axis=1), (factor * dy).sum(axis=1)))
+    assert grad.tobytes() == expected.tobytes()
+
+
+def test_objective_over_components_is_sum_of_parts():
+    # two components with interleaved vertices plus an isolated vertex;
+    # pairs at infinite distance must add nothing, not nan and not -0.0
+    rng = np.random.default_rng(43)
+    parts = [[0, 2, 4, 7], [1, 3, 5, 8, 9], [6]]
+    n = 10
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for part in parts[:2]:
+        d[np.ix_(part, part)] = full_distance_matrix(connected_random_network(rng, len(part)))
+    pos = random_positions(rng, n)
+    value, grad = stress_objective(d, 1.0)(pos)
+    grad = grad.reshape(n, 2)
+    assert np.isfinite(value) and np.isfinite(grad).all()
+    total = 0.0
+    for part in parts:
+        sub_value, sub_grad = stress_objective(d[np.ix_(part, part)], 1.0)(pos[part])
+        total += sub_value
+        np.testing.assert_allclose(grad[part], sub_grad.reshape(-1, 2), rtol=1e-12, atol=1e-15)
+    assert value == pytest.approx(total, rel=1e-12)
+    assert grad[6].tolist() == [0.0, 0.0]
+    assert not np.signbit(grad[grad == 0.0]).any()
 
 
 def test_two_vertices_reach_exact_separation():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
 from cowordmap.cli import main
 from cowordmap.errors import InputError, StageError
+from cowordmap.layout import LayoutParams
 from cowordmap.pajek import read_pajek_net
 from cowordmap.pipeline import (
     MANIFEST_FILE,
@@ -205,6 +207,28 @@ def test_cli_mapped_quote_descriptor_fails_normalize(tmp_path, capsys):
     assert "stage 'normalize'" in err and "record 'r2'" in err and 'say "hi"' in err
 
 
+def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+            "--windows", "2001-2006,2007-2012"]
+    assert main(["run", *args, "--out", str(tmp_path / "plain")]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    out = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out), "--layout-max-iter", "5"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: layout did not converge within 5 iterations")
+    manifest = (out / MANIFEST_FILE).read_bytes()
+    assert json.loads(manifest)["stages"]["layout"]["converged"] is False
+
+    # the warning goes to stderr only: the manifest is what a direct run writes
+    run_pipeline(fixture_config(out, layout=LayoutParams(max_iterations=5)))
+    assert without_timestamps(manifest) == without_timestamps((out / MANIFEST_FILE).read_bytes())
+
+    assert main(["layout", *args, "--out", str(out), "--layout-max-iter", "5"]) == 0
+    assert capsys.readouterr().err.startswith("warning: layout did not converge within 5 iterations")
+
+
 def test_cli_unknown_flag_exit_one(tmp_path, capsys):
     assert main(["run", "--nope"]) == 1
     assert "error" in capsys.readouterr().err
@@ -319,3 +343,19 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert bad.returncode == 1
     assert bad.stderr.strip() != ""
+
+
+def test_start_up_does_not_import_scipy_optimize():
+    # scipy.optimize is imported by the first layout, not by start-up
+    import cowordmap
+
+    env = dict(os.environ)
+    package_root = str(Path(cowordmap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    for argv in (["-c", "import cowordmap"], ["-m", "cowordmap", "--version"]):
+        result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "cowordmap.layout" in imported
+        assert "scipy.optimize" not in imported, argv
