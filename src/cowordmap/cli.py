@@ -61,6 +61,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edge-floor", type=int, help="hide SVG edges below this weight (default: 1)")
 
 
+# Numeric settings: field of RunConfig, LayoutParams or SvgOptions -> (flag,
+# config key, type); an unset one keeps the field's default. Each ValueError
+# those classes raise starts with the field's name, which names the option.
+NUMERIC_OPTIONS = {
+    "min_occurrences": ("--min-occ", "min_occurrences", int),
+    "resolution": ("--resolution", "resolution", float),
+    "scale": ("--layout-scale", "layout_scale", float),
+    "tolerance": ("--layout-tolerance", "layout_tolerance", float),
+    "max_iterations": ("--layout-max-iter", "layout_max_iterations", int),
+    "size": ("--svg-size", "svg_size", int),
+    "edge_weight_floor": ("--edge-floor", "edge_weight_floor", int),
+}
+
+
 def _bool(text: str, key: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -77,6 +91,20 @@ def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConf
         if flag is not None:
             return flag
         return file_vals.get(key, default)
+
+    def numbers(*names: str) -> dict:
+        """Field -> value of each named option set by a flag or the config file."""
+        values = {}
+        for name in names:
+            flag, key, convert = NUMERIC_OPTIONS[name]
+            value = pick(getattr(args, flag[2:].replace("-", "_")), key)
+            try:
+                if value is not None:
+                    values[name] = convert(value)
+            except ValueError:
+                raise InputError(f"bad value for {flag} (config key '{key}'): "
+                                 f"expected {convert.__name__}, got {value!r}") from None
+        return values
 
     records = pick(args.records, "records")
     if records is None and need_records:
@@ -102,31 +130,25 @@ def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConf
         not _bool(file_vals["passthrough"], "passthrough") if "passthrough" in file_vals else False
     )
 
-    layout = LayoutParams(
-        scale=float(pick(args.layout_scale, "layout_scale", 1.0)),
-        tolerance=float(pick(args.layout_tolerance, "layout_tolerance", 1e-4)),
-        max_iterations=int(pick(args.layout_max_iter, "layout_max_iterations", 10_000)),
-    )
-    svg = SvgOptions(
-        size=int(pick(args.svg_size, "svg_size", 800)),
-        edge_weight_floor=int(pick(args.edge_floor, "edge_weight_floor", 1)),
-    )
-    return RunConfig(
-        records=Path(records) if records else Path("records.csv"),
-        out_dir=out_dir,
-        mapping=Path(mapping) if mapping else None,
-        scheme_a=Path(p) if (p := pick(args.scheme_a, "scheme_a")) else None,
-        scheme_b=Path(p) if (p := pick(args.scheme_b, "scheme_b")) else None,
-        min_occurrences=int(pick(args.min_occ, "min_occurrences", 5)),
-        windows=parse_windows(windows_text) if windows_text else (),
-        source=pick(args.source, "source"),
-        resolution=float(pick(args.resolution, "resolution", 1.0)),
-        use_similarity=not raw_weights,
-        passthrough=not no_passthrough,
-        year_range=year_range,
-        layout=layout,
-        svg=svg,
-    )
+    try:
+        return RunConfig(
+            records=Path(records) if records else Path("records.csv"),
+            out_dir=out_dir,
+            mapping=Path(mapping) if mapping else None,
+            scheme_a=Path(p) if (p := pick(args.scheme_a, "scheme_a")) else None,
+            scheme_b=Path(p) if (p := pick(args.scheme_b, "scheme_b")) else None,
+            windows=parse_windows(windows_text) if windows_text else (),
+            source=pick(args.source, "source"),
+            use_similarity=not raw_weights,
+            passthrough=not no_passthrough,
+            year_range=year_range,
+            layout=LayoutParams(**numbers("scale", "tolerance", "max_iterations")),
+            svg=SvgOptions(**numbers("size", "edge_weight_floor")),
+            **numbers("min_occurrences", "resolution"),
+        )
+    except ValueError as exc:
+        flag, key, _ = NUMERIC_OPTIONS[str(exc).split(" ", 1)[0]]
+        raise InputError(f"bad value for {flag} (config key '{key}'): {exc}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .network import CoNetwork, component_subnetworks
+from .network import CoNetwork, component_subnetworks, connected_components
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class LayoutParams:
     scale: float = 1.0
     tolerance: float = 1e-4
     max_iterations: int = 10_000
-    jitter_seed: int | None = None  # None keeps the seed-free deterministic start
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -48,7 +47,7 @@ class LayoutMap:
     """Vertex coordinates plus the state the optimizer finished in.
 
     Raw optimizer output keeps display units (``normalized=False``);
-    ``pack_components`` produces unit-square coordinates. ``final_stress``
+    ``layout_network`` returns unit-square coordinates. ``final_stress``
     always refers to the optimizer's coordinate frame. ``stress_history``
     holds one non-increasing trace per component when present.
     """
@@ -158,14 +157,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _circle_start(m: int, radius: float, rng: np.random.Generator | None) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(m) / m
-    pos = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-    if rng is not None:
-        pos += 0.01 * radius * rng.standard_normal(pos.shape)
-    return np.ascontiguousarray(pos)
-
-
 def _minimize_component(
     pos: np.ndarray, dmat: np.ndarray, params: LayoutParams
 ) -> tuple[np.ndarray, int, bool, list[float]]:
@@ -214,7 +205,6 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     """
     if net.n_vertices == 0:
         raise ValueError("cannot lay out an empty network")
-    rng = None if params.jitter_seed is None else np.random.default_rng(params.jitter_seed)
     coords = np.zeros((net.n_vertices, 2))
     histories: list[tuple[float, ...]] = []
     total = 0.0
@@ -226,7 +216,9 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
             histories.append((0.0,))
             continue
         radius = params.scale * float(dmat.max()) / 2.0
-        pos, it, conv, trace = _minimize_component(_circle_start(m, radius, rng), dmat, params)
+        angles = 2.0 * np.pi * np.arange(m) / m
+        circle = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
+        pos, it, conv, trace = _minimize_component(circle, dmat, params)
         for local, orig in enumerate(comp):
             coords[orig] = pos[local]
         histories.append(tuple(trace))
@@ -257,24 +249,21 @@ def normalize_unit_square(coords: np.ndarray) -> np.ndarray:
     return (coords - mins) * s + (1.0 - s * spans) / 2.0
 
 
-def pack_components(layouts: list[LayoutMap], sizes: list[int]) -> LayoutMap:
-    """Arrange per-component layouts on a shelf-packed grid, then normalize.
+def pack_components(components: list[np.ndarray]) -> list[np.ndarray]:
+    """Arrange per-component coordinates on a shelf-packed grid, then normalize.
 
     Components are scaled to boxes with side proportional to sqrt(vertex
     count) and placed largest first, left to right, wrapping onto new shelves
     (y grows downward). Bounding boxes never touch; the combined picture is
-    renormalized to the unit square with preserved aspect ratio.
+    renormalized to the unit square with preserved aspect ratio. Returns the
+    unit-square coordinates of each component, in input order.
     """
-    if not layouts:
+    if not components:
         raise ValueError("nothing to pack")
-    if len(layouts) != len(sizes):
-        raise ValueError("layouts and sizes differ in length")
 
     boxes = []  # (side, content coords relative to the box origin)
-    for layout, size in zip(layouts, sizes):
-        c = layout.coords
-        if c.shape[0] != size:
-            raise ValueError("component layout does not match its vertex count")
+    for c in components:
+        size = c.shape[0]
         side = float(np.sqrt(size))
         mins = c.min(axis=0) if size else np.zeros(2)
         spans = (c.max(axis=0) - mins) if size else np.zeros(2)
@@ -306,37 +295,25 @@ def pack_components(layouts: list[LayoutMap], sizes: list[int]) -> LayoutMap:
         x += side + gap
         shelf_height = max(shelf_height, side)
 
-    combined = np.vstack([placed[i] for i in range(len(boxes))])
-    combined = normalize_unit_square(combined)
-    stresses = [l.final_stress for l in layouts]
-    return LayoutMap(
-        combined,
-        final_stress=None if any(s is None for s in stresses) else float(sum(stresses)),
-        converged=all(l.converged for l in layouts),
-        iterations=sum(l.iterations for l in layouts),
-        normalized=True,
-    )
+    combined = normalize_unit_square(np.vstack([placed[i] for i in range(len(boxes))]))
+    return np.split(combined, np.cumsum([c.shape[0] for c in components])[:-1])
 
 
 def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
-    """Layout for a whole network: per-component Kamada-Kawai, then packing.
+    """Layout for a whole network: Kamada-Kawai per component, then packing.
 
     Coordinates come back in the network's vertex order, normalized to the
     unit square.
     """
-    subnets = component_subnetworks(net)
-    layouts = [kamada_kawai(sub, params) for _, sub in subnets]
-    packed = pack_components(layouts, [sub.n_vertices for _, sub in subnets])
+    raw = kamada_kawai(net, params)
+    comps = [list(comp) for comp in connected_components(net)]
     coords = np.zeros((net.n_vertices, 2))
-    cursor = 0
-    for comp, _ in subnets:
-        for orig in comp:
-            coords[orig] = packed.coords[cursor]
-            cursor += 1
+    for comp, packed in zip(comps, pack_components([raw.coords[comp] for comp in comps])):
+        coords[comp] = packed
     return LayoutMap(
         coords,
-        final_stress=packed.final_stress,
-        converged=packed.converged,
-        iterations=packed.iterations,
+        final_stress=raw.final_stress,
+        converged=raw.converged,
+        iterations=raw.iterations,
         normalized=True,
     )

@@ -171,7 +171,7 @@ def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
 
 
 def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
-    """Cluster ids of a partition file that must cover exactly ``n`` vertices."""
+    """Cluster ids (dense 1..k) of a partition file that must cover exactly ``n`` vertices."""
     path = Path(path)
     lines = [l.strip() for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
     if not lines or not lines[0].lower().startswith("*vertices"):
@@ -180,6 +180,10 @@ def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     if len(body) != n:
         raise InputError(f"{path}: has {len(body)} assignments, network has {n} vertices")
     try:
-        return tuple(int(x) for x in body)
+        ids = tuple(int(x) for x in body)
     except ValueError:
         raise InputError(f"{path}: non-integer cluster id")
+    try:
+        return ClusterPartition(ids, 0.0).assignment
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None

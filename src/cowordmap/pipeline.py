@@ -7,6 +7,9 @@ one as a subcommand, both through ``run_stage``, so running stages one by
 one produces the same bytes as a full run. Intermediate artifacts are flat
 files on purpose: at this corpus scale everything should be inspectable and
 diffable.
+
+Keywords are normalized once, by ``normalize``; ``net`` and the period
+networks of ``compare`` are built alike from the sets in descriptors.csv.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -45,6 +49,7 @@ from .tables import (
     write_compare_csv,
     write_coverage_csv,
     write_crosstab_csv,
+    write_descriptors_csv,
     write_distribution_csv,
     write_edges_csv,
     write_frequencies_csv,
@@ -54,6 +59,7 @@ from .tables import (
 )
 from .vocabulary import (
     MappingTable,
+    OccurrenceIndex,
     coverage_stats,
     descriptor_frequencies,
     load_mapping,
@@ -99,6 +105,12 @@ class RunConfig:
     layout: LayoutParams = field(default_factory=LayoutParams)
     svg: SvgOptions = field(default_factory=SvgOptions)
 
+    def __post_init__(self):
+        if self.min_occurrences < 1:
+            raise ValueError(f"min_occurrences must be >= 1, got {self.min_occurrences}")
+        if not self.resolution > 0:
+            raise ValueError(f"resolution must be positive, got {self.resolution}")
+
     def scheme_a_path(self) -> Path:
         return self.scheme_a or default_scheme_path("a")
 
@@ -119,17 +131,8 @@ class RunConfig:
             "use_similarity": self.use_similarity,
             "passthrough": self.passthrough,
             "year_range": list(self.year_range) if self.year_range else None,
-            "layout": {
-                "scale": self.layout.scale,
-                "tolerance": self.layout.tolerance,
-                "max_iterations": self.layout.max_iterations,
-                "jitter_seed": self.layout.jitter_seed,
-            },
-            "svg": {
-                "size": self.svg.size,
-                "margin": self.svg.margin,
-                "edge_weight_floor": self.svg.edge_weight_floor,
-            },
+            "layout": asdict(self.layout),
+            "svg": asdict(self.svg),
         }
 
 
@@ -188,12 +191,6 @@ def _load_ingested(config: RunConfig) -> RecordSet:
     return parse_records(path, _schemes(config), config.year_range)
 
 
-def _load_mapping(config: RunConfig) -> MappingTable:
-    if config.mapping is None:
-        return MappingTable({})
-    return load_mapping(config.mapping)
-
-
 def _read_descriptor_sets(config: RunConfig) -> dict[str, frozenset[str]]:
     path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
     per_record: dict[str, set[str]] = {}
@@ -203,6 +200,12 @@ def _read_descriptor_sets(config: RunConfig) -> dict[str, frozenset[str]]:
         for record_id, descriptor in reader:
             per_record.setdefault(record_id, set()).add(descriptor)
     return {rid: frozenset(s) for rid, s in per_record.items()}
+
+
+def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
+    """Unthresholded network of per-record descriptor sets, as read from descriptors.csv."""
+    totals = Counter(d for s in per_record.values() for d in s)
+    return build_network(OccurrenceIndex(per_record, dict(totals), {}, 0))
 
 
 def _read_network(config: RunConfig) -> CoNetwork:
@@ -282,7 +285,8 @@ def stage_report(config: RunConfig, scheme: str = "both", by: str = "none") -> d
 def stage_normalize(config: RunConfig) -> dict:
     """Canonicalize keywords and write the descriptor/frequency artifacts."""
     rs = _load_ingested(config)
-    idx = normalize(rs, _load_mapping(config), passthrough=config.passthrough)
+    table = MappingTable({}) if config.mapping is None else load_mapping(config.mapping)
+    idx = normalize(rs, table, passthrough=config.passthrough)
     bad = min((d for d in idx.totals if not representable(d)), default=None)
     if bad is not None:
         rid = next(r.id for r in rs if bad in idx.per_record[r.id])
@@ -292,9 +296,7 @@ def stage_normalize(config: RunConfig) -> dict:
     for r in rs:
         for d in sorted(idx.per_record.get(r.id, ())):
             rows.append((r.id, d))
-    from .tables import write_csv
-
-    write_csv(config.out_dir / DESCRIPTORS_FILE, ["record_id", "descriptor"], rows)
+    write_descriptors_csv(rows, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)
     write_coverage_csv(stats, config.min_occurrences, config.out_dir / COVERAGE_FILE)
@@ -309,14 +311,7 @@ def stage_normalize(config: RunConfig) -> dict:
 
 def stage_net(config: RunConfig) -> dict:
     """Build the co-occurrence network and apply the frequency threshold."""
-    per_record = _read_descriptor_sets(config)
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    from .vocabulary import OccurrenceIndex
-
-    full = build_network(OccurrenceIndex(per_record, totals, {}, 0))
+    full = _cooccurrence_network(_read_descriptor_sets(config))
     net = threshold_filter(full, config.min_occurrences)
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)
@@ -368,45 +363,40 @@ def stage_export(config: RunConfig) -> dict:
     return {"files": [SVG_FILE]}
 
 
-def compare_files(a_path: Path, b_path: Path, labels: tuple[str, str], out_path: Path) -> dict:
-    """Compare two Pajek networks and write the report CSV."""
-    net_a, _ = read_pajek_net(_require(Path(a_path), "net/layout"))
-    net_b, _ = read_pajek_net(_require(Path(b_path), "net/layout"))
+def _compare(net_a: CoNetwork, net_b: CoNetwork, labels: tuple[str, str], out_path: Path) -> dict:
     report = compare_networks(net_a, net_b, labels)
     write_compare_csv(report, out_path)
-    return {
-        "sides": [labels[0], labels[1]],
-        "appeared": len(report.appeared),
-        "vanished": len(report.vanished),
-        "persisted": len(report.persisted),
-    }
-
-
-def _period_net_name(window: PeriodWindow) -> str:
-    return f"period_{window.start_year}_{window.end_year}.net"
-
-
-def stage_compare_windows(config: RunConfig) -> dict:
-    """Per-window networks plus the side-by-side report (exactly two windows)."""
-    if len(config.windows) != 2:
-        raise InputError("compare needs exactly two configured windows")
-    rs = _load_ingested(config)
-    table = _load_mapping(config)
-    nets = []
-    for sub in split_periods(rs, list(config.windows)):
-        idx = normalize(sub, table, passthrough=config.passthrough)
-        nets.append(threshold_filter(build_network(idx), config.min_occurrences))
-    for window, net in zip(config.windows, nets):
-        write_pajek_net(net, None, config.out_dir / _period_net_name(window))
-    labels = (config.windows[0].label, config.windows[1].label)
-    report = compare_networks(nets[0], nets[1], labels)
-    write_compare_csv(report, config.out_dir / COMPARE_FILE)
     return {
         "sides": list(labels),
         "appeared": len(report.appeared),
         "vanished": len(report.vanished),
         "persisted": len(report.persisted),
     }
+
+
+def compare_files(a_path: Path, b_path: Path, labels: tuple[str, str], out_path: Path) -> dict:
+    """Compare two Pajek networks and write the report CSV."""
+    net_a, _ = read_pajek_net(_require(Path(a_path), "net/layout"))
+    net_b, _ = read_pajek_net(_require(Path(b_path), "net/layout"))
+    return _compare(net_a, net_b, labels, out_path)
+
+
+def stage_compare_windows(config: RunConfig) -> dict:
+    """Per-window networks, built from the window's records' sets in
+    descriptors.csv, plus the side-by-side report (exactly two windows)."""
+    if len(config.windows) != 2:
+        raise InputError("compare needs exactly two configured windows")
+    # only the ids are kept, so the parsed records are freed before the sets are read
+    periods = [[r.id for r in sub] for sub in split_periods(_load_ingested(config), list(config.windows))]
+    per_record = _read_descriptor_sets(config)
+    nets = []
+    for ids in periods:
+        sets = {rid: per_record[rid] for rid in ids if rid in per_record}
+        nets.append(threshold_filter(_cooccurrence_network(sets), config.min_occurrences))
+    for window, net in zip(config.windows, nets):
+        write_pajek_net(net, None, config.out_dir / f"period_{window.start_year}_{window.end_year}.net")
+    labels = (config.windows[0].label, config.windows[1].label)
+    return _compare(nets[0], nets[1], labels, config.out_dir / COMPARE_FILE)
 
 
 # --- stage table and full run ------------------------------------------------

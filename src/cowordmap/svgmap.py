@@ -1,9 +1,10 @@
 """Label-view SVG maps: sized, colored, labelled descriptor nodes.
 
 Circle radius and font size scale with the square root of the occurrence
-weight between configured bounds; fill color comes from a fixed qualitative
-palette indexed by cluster id; edge width grows with log(1 + weight). The
-output is plain SVG 1.1 text, built deterministically.
+weight between the fixed bounds ``RADIUS`` and ``FONT``; fill color comes
+from a fixed qualitative palette indexed by cluster id; edge width grows
+with log(1 + weight). The output is plain SVG 1.1 text, built
+deterministically.
 """
 
 from __future__ import annotations
@@ -34,22 +35,22 @@ PALETTE = (
 )
 
 
+MARGIN = 60.0  # px between the viewport edge and the unit square's image
+RADIUS = (3.0, 20.0)  # circle radius bounds, px
+FONT = (8.0, 18.0)  # label font size bounds, px
+EDGE_WIDTH_SCALE = 1.5  # stroke width per unit of log(1 + weight)
+
+
 @dataclass(frozen=True)
 class SvgOptions:
     size: int = 800
-    margin: float = 60.0
-    min_radius: float = 3.0
-    max_radius: float = 20.0
-    min_font: float = 8.0
-    max_font: float = 18.0
     edge_weight_floor: int = 1
-    edge_width_scale: float = 1.5
 
     def __post_init__(self):
-        if self.size <= 2 * self.margin:
-            raise ValueError("margin leaves no drawing area")
+        if self.size <= 2 * MARGIN:
+            raise ValueError(f"size must exceed {2 * MARGIN:g} px (twice the margin), got {self.size}")
         if self.edge_weight_floor < 1:
-            raise ValueError("edge_weight_floor must be >= 1")
+            raise ValueError(f"edge_weight_floor must be >= 1, got {self.edge_weight_floor}")
 
 
 def _scaled(value: float, vmax: float, lo: float, hi: float) -> float:
@@ -85,8 +86,8 @@ def render_label_map_svg(
     vmax = max(sizes) if sizes else 1
 
     coords = layout.coords if layout.normalized else normalize_unit_square(layout.coords)
-    span = opts.size - 2 * opts.margin
-    px = [(opts.margin + c[0] * span, opts.margin + c[1] * span) for c in coords]
+    span = opts.size - 2 * MARGIN
+    px = [(MARGIN + c[0] * span, MARGIN + c[1] * span) for c in coords]
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -96,13 +97,13 @@ def render_label_map_svg(
     for i, j, c in net.edges:
         if c < opts.edge_weight_floor:
             continue
-        width = opts.edge_width_scale * math.log1p(c)
+        width = EDGE_WIDTH_SCALE * math.log1p(c)
         out.append(
             f'<line x1="{px[i][0]:.2f}" y1="{px[i][1]:.2f}" '
             f'x2="{px[j][0]:.2f}" y2="{px[j][1]:.2f}" '
             f'stroke="#999999" stroke-opacity="0.6" stroke-width="{width:.2f}"/>'
         )
-    radii = [_scaled(s, vmax, opts.min_radius, opts.max_radius) for s in sizes]
+    radii = [_scaled(s, vmax, *RADIUS) for s in sizes]
     for i in range(n):
         color = PALETTE[(partition.assignment[i] - 1) % len(PALETTE)]
         out.append(
@@ -110,7 +111,7 @@ def render_label_map_svg(
             f'fill="{color}" fill-opacity="0.85" stroke="#333333" stroke-width="0.5"/>'
         )
     for i in range(n):
-        font = _scaled(sizes[i], vmax, opts.min_font, opts.max_font)
+        font = _scaled(sizes[i], vmax, *FONT)
         out.append(
             f'<text x="{px[i][0]:.2f}" y="{px[i][1] - radii[i] - 2.0:.2f}" '
             f'font-family="sans-serif" font-size="{font:.1f}" '

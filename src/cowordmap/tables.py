@@ -26,6 +26,10 @@ def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None
     write_csv(path, ["descriptor", "count"], freq)
 
 
+def write_descriptors_csv(rows: list[tuple[str, str]], path: str | Path) -> None:
+    write_csv(path, ["record_id", "descriptor"], rows)
+
+
 def write_distribution_csv(rows: list[tuple[str, int, int]], path: str | Path) -> None:
     write_csv(path, ["label", "count", "percent"], rows)
 

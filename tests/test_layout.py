@@ -220,14 +220,24 @@ def test_layout_deterministic_bitwise(fixture_network):
     assert packed_a.coords.tobytes() == packed_b.coords.tobytes()
 
 
-def test_jitter_seed_changes_start_reproducibly():
-    net = make_network([(l, 2) for l in "abcd"],
-                       [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("a", "d", 1)])
-    plain = kamada_kawai(net)
-    jittered1 = kamada_kawai(net, LayoutParams(jitter_seed=42))
-    jittered2 = kamada_kawai(net, LayoutParams(jitter_seed=42))
-    assert jittered1.coords.tobytes() == jittered2.coords.tobytes()
-    assert jittered1.coords.tobytes() != plain.coords.tobytes()
+def test_whole_network_layout_equals_per_component_layouts():
+    # layout_network lays out the whole network at once; each component must
+    # come out exactly as if it were laid out alone
+    net = make_network(
+        [("a", 5), ("b", 4), ("c", 4), ("d", 3), ("p", 3), ("q", 2), ("r", 2), ("x", 2), ("y", 2),
+         ("lone", 1)],
+        [("a", "b", 3), ("b", "c", 1), ("a", "d", 2), ("c", "d", 1),
+         ("p", "q", 2), ("q", "r", 1), ("x", "y", 1)],
+    )
+    whole = kamada_kawai(net)
+    subnets = component_subnetworks(net)
+    assert [len(comp) for comp, _ in subnets] == [4, 3, 2, 1]
+    iterations = 0
+    for comp, sub in subnets:
+        alone = kamada_kawai(sub)
+        assert whole.coords[list(comp)].tobytes() == alone.coords.tobytes()
+        iterations += alone.iterations
+    assert whole.iterations == iterations
 
 
 def test_budget_exhaustion_is_flagged():
@@ -251,15 +261,14 @@ def test_pack_single_component_is_renormalization():
     net = make_network([(l, 2) for l in "abc"],
                        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
     raw = kamada_kawai(net)
-    packed = pack_components([raw], [3])
-    assert packed.normalized
-    assert packed.coords.min() >= 0.0 and packed.coords.max() <= 1.0
+    [packed] = pack_components([raw.coords])
+    assert packed.min() >= 0.0 and packed.max() <= 1.0
     # relative geometry preserved: distance ratios unchanged
     def ratios(c):
         d01 = np.linalg.norm(c[0] - c[1])
         d02 = np.linalg.norm(c[0] - c[2])
         return d01 / d02
-    assert ratios(packed.coords) == pytest.approx(ratios(raw.coords), rel=1e-9)
+    assert ratios(packed) == pytest.approx(ratios(raw.coords), rel=1e-9)
 
 
 def bounding_box(coords):
@@ -276,10 +285,7 @@ def test_pack_two_equal_components_disjoint():
         [("a", "b", 1), ("x", "y", 1)],
     )
     subnets = component_subnetworks(net)
-    layouts = [kamada_kawai(sub) for _, sub in subnets]
-    packed = pack_components(layouts, [2, 2])
-    c1 = packed.coords[:2]
-    c2 = packed.coords[2:]
+    c1, c2 = pack_components([kamada_kawai(sub).coords for _, sub in subnets])
     assert boxes_disjoint(bounding_box(c1), bounding_box(c2))
 
 
@@ -289,18 +295,13 @@ def test_pack_three_components_pairwise_disjoint():
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("p", "q", 1)],
     )
     subnets = component_subnetworks(net)
-    layouts = [kamada_kawai(sub) for _, sub in subnets]
-    sizes = [sub.n_vertices for _, sub in subnets]
-    packed = pack_components(layouts, sizes)
-    cursor = 0
-    boxes = []
-    for size in sizes:
-        boxes.append(bounding_box(packed.coords[cursor:cursor + size]))
-        cursor += size
+    packed = pack_components([kamada_kawai(sub).coords for _, sub in subnets])
+    assert [c.shape for c in packed] == [(sub.n_vertices, 2) for _, sub in subnets]
+    boxes = [bounding_box(c) for c in packed]
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             assert boxes_disjoint(boxes[i], boxes[j]), (i, j)
-    assert packed.coords.min() >= 0.0 and packed.coords.max() <= 1.0
+    assert min(c.min() for c in packed) >= 0.0 and max(c.max() for c in packed) <= 1.0
 
 
 def test_layout_network_covers_unit_square(fixture_network):

@@ -14,7 +14,7 @@ from conftest import MAPPING_TXT, RECORDS_CSV
 from cowordmap.cli import main
 from cowordmap.errors import InputError, StageError
 from cowordmap.layout import LayoutParams
-from cowordmap.pajek import read_pajek_net
+from cowordmap.pajek import format_pajek_net, read_pajek_net
 from cowordmap.pipeline import (
     MANIFEST_FILE,
     RunConfig,
@@ -22,7 +22,9 @@ from cowordmap.pipeline import (
     stage_compare_windows,
     stage_table,
 )
-from cowordmap.records import PeriodWindow
+from cowordmap.network import build_network, threshold_filter
+from cowordmap.records import PeriodWindow, parse_records, split_periods
+from cowordmap.vocabulary import normalize
 
 EXPECTED_FILES = {
     "records.csv",
@@ -234,6 +236,27 @@ def test_cli_unknown_flag_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--min-occ", "0"], "--min-occ"),
+    (["--resolution", "0"], "--resolution"),
+    (["--layout-tolerance", "-1"], "--layout-tolerance"),
+    (["--layout-max-iter", "0"], "--layout-max-iter"),
+    (["--svg-size", "100"], "--svg-size"),
+    (["--config", "{cfg}"], "min_occurrences"),
+])
+def test_cli_bad_option_value_exit_one(tmp_path, capsys, argv, option):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_occurrences = abc\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg) for a in argv]
+    code = main(["run", "--records", str(RECORDS_CSV), "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert option in err
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before any stage ran
+
+
 def test_cli_missing_records_exit_one(tmp_path, capsys):
     code = main(["run", "--records", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -294,6 +317,22 @@ def test_cli_compare_matches_pipeline_compare(tmp_path):
     ])
     assert code == 0
     assert (cmp_out / "compare.csv").read_bytes() == (out / "compare.csv").read_bytes()
+
+
+@pytest.mark.parametrize("min_occ, passthrough", [(5, True), (2, True), (2, False)])
+def test_period_networks_match_normalized_window_oracle(tmp_path, schemes, fixture_mapping,
+                                                        min_occ, passthrough):
+    # the period networks come from descriptors.csv; they must equal networks
+    # built by normalizing each window's records on their own
+    out = tmp_path / "out"
+    config = fixture_config(out, min_occurrences=min_occ, passthrough=passthrough)
+    run_pipeline(config)
+    records = parse_records(RECORDS_CSV, schemes)
+    for window, sub in zip(config.windows, split_periods(records, list(config.windows))):
+        idx = normalize(sub, fixture_mapping, passthrough=passthrough)
+        expected = format_pajek_net(threshold_filter(build_network(idx), min_occ))
+        path = out / f"period_{window.start_year}_{window.end_year}.net"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def test_cli_compare_needs_windows_for_pipeline(tmp_path):

@@ -142,6 +142,6 @@ def test_coverage_validation():
     with pytest.raises(ValueError, match="partition"):
         render_label_map_svg(net, layout, ClusterPartition((1, 2), 0.0), {})
     with pytest.raises(ValueError):
-        SvgOptions(size=100, margin=60.0)
+        SvgOptions(size=100)
     with pytest.raises(ValueError):
         SvgOptions(edge_weight_floor=0)
