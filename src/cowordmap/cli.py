@@ -1,11 +1,13 @@
 """Command-line interface.
 
-One subcommand per entry of ``pipeline.stage_table``, plus ``run`` for the
-whole chain and ``compare`` for two existing Pajek networks. Values come from
-flags first, then the ``--config`` file (``key = value`` lines), then
-defaults. Exit codes: 0 success, 1 input error, 2 pipeline error;
-diagnostics go to stderr, and so does a warning when the layout did not
-converge (the exit code stays 0).
+One subcommand per entry of ``pipeline.stage_table`` (ingest, report,
+normalize, net, cluster, layout, export, compare), plus ``run`` for the
+whole chain; ``compare`` diffs ``--a``/``--b``, or the period networks of
+``net``. Values come from flags first, then the ``--config`` file
+(``key = value`` lines), then defaults. Exit codes: 0 success, 1 input
+error (also an output file that cannot be written; files are written
+whole or not at all), 2 pipeline error; diagnostics go to stderr, and so
+does a warning when the layout did not converge (the exit code stays 0).
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from . import __version__
 from .errors import InputError, StageError
 from .layout import LayoutParams
 from .pipeline import (
-    COMPARE_FILE,
     RunConfig,
-    compare_files,
     load_config_file,
     parse_windows,
     run_pipeline,
@@ -61,6 +61,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edge-floor", type=int, help="hide SVG edges below this weight (default: 1)")
 
 
+# Flags of one stage only; their values follow the config in the call of its function.
+STAGE_FLAGS = {
+    "report": (("--scheme", dict(choices=["a", "b", "both"], default="both")),
+               ("--by", dict(choices=["none", "period", "source"], default="none"))),
+    "compare": (("--a", dict(help="first .net file (default: the first period network)")),
+                ("--b", dict(help="second .net file (default: the second period network)")),
+                ("--label-a", dict(help="name of the first side")),
+                ("--label-b", dict(help="name of the second side"))),
+}
+
+
 # Numeric settings: field of RunConfig, LayoutParams or SvgOptions -> (flag,
 # config key, type); an unset one keeps the field's default. Each ValueError
 # those classes raise starts with the field's name, which names the option.
@@ -84,7 +95,7 @@ def _bool(text: str, key: str) -> bool:
     raise InputError(f"config key '{key}' is not a boolean: {text!r}")
 
 
-def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConfig:
+def build_config(args: argparse.Namespace) -> RunConfig:
     file_vals = load_config_file(args.config) if args.config else {}
 
     def pick(flag, key, default=None):
@@ -107,21 +118,18 @@ def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConf
         return values
 
     records = pick(args.records, "records")
-    if records is None and need_records:
-        raise InputError("no records file given (--records or config 'records')")
     out_dir = Path(pick(args.out, "out", "out"))
     mapping = pick(args.mapping, "mapping")
     windows_text = pick(args.windows, "windows")
+    optional = numbers("min_occurrences", "resolution")
     year_text = pick(args.year_range, "year_range")
-    if year_text is None:
-        year_range: tuple[int, int] | None = (2001, 2012)
-    elif year_text.strip().lower() == "none":
-        year_range = None
-    else:
+    if year_text is not None and year_text.strip().lower() == "none":
+        optional["year_range"] = None
+    elif year_text is not None:
         yr = parse_windows(year_text)
         if len(yr) != 1:
             raise InputError(f"year_range must be a single interval, got {year_text!r}")
-        year_range = (yr[0].start_year, yr[0].end_year)
+        optional["year_range"] = (yr[0].start_year, yr[0].end_year)
 
     raw_weights = args.raw_weights if args.raw_weights is not None else (
         _bool(file_vals["raw_weights"], "raw_weights") if "raw_weights" in file_vals else False
@@ -132,7 +140,7 @@ def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConf
 
     try:
         return RunConfig(
-            records=Path(records) if records else Path("records.csv"),
+            records=Path(records) if records else None,
             out_dir=out_dir,
             mapping=Path(mapping) if mapping else None,
             scheme_a=Path(p) if (p := pick(args.scheme_a, "scheme_a")) else None,
@@ -141,10 +149,9 @@ def build_config(args: argparse.Namespace, need_records: bool = True) -> RunConf
             source=pick(args.source, "source"),
             use_similarity=not raw_weights,
             passthrough=not no_passthrough,
-            year_range=year_range,
             layout=LayoutParams(**numbers("scale", "tolerance", "max_iterations")),
             svg=SvgOptions(**numbers("size", "edge_weight_floor")),
-            **numbers("min_occurrences", "resolution"),
+            **optional,
         )
     except ValueError as exc:
         flag, key, _ = NUMERIC_OPTIONS[str(exc).split(" ", 1)[0]]
@@ -155,21 +162,15 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cowordmap", description="Co-word analysis and science mapping")
     parser.add_argument("--version", action="version", version=f"cowordmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    _add_config_flags(shared)
 
     commands = [("run", "run the whole pipeline and write the manifest")]
     commands += [(name, text) for name, _, text in stage_table()]
-    commands.append(("compare", "diff two Pajek networks"))
     for name, text in commands:
-        p = sub.add_parser(name, help=text, description=text)
-        _add_config_flags(p)
-        if name == "report":
-            p.add_argument("--scheme", choices=["a", "b", "both"], default="both")
-            p.add_argument("--by", choices=["none", "period", "source"], default="none")
-        if name == "compare":
-            p.add_argument("--a", required=True, help="first .net file")
-            p.add_argument("--b", required=True, help="second .net file")
-            p.add_argument("--label-a", help="name of the first side")
-            p.add_argument("--label-b", help="name of the second side")
+        p = sub.add_parser(name, help=text, description=text, parents=[shared])
+        for flag, kwargs in STAGE_FLAGS.get(name, ()):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -187,15 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "compare":
-            config = build_config(args, need_records=False)
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            labels = (args.label_a or Path(args.a).stem, args.label_b or Path(args.b).stem)
-            stats = compare_files(Path(args.a), Path(args.b), labels, config.out_dir / COMPARE_FILE)
-            print(f"compare: {stats['appeared']} appeared, {stats['vanished']} vanished, "
-                  f"{stats['persisted']} persisted -> {config.out_dir / COMPARE_FILE}")
-            return 0
-
         config = build_config(args)
         if args.command == "run":
             manifest = run_pipeline(config)
@@ -208,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config.out_dir.mkdir(parents=True, exist_ok=True)
         fn = next(f for name, f, _ in stage_table() if name == args.command)
-        extra = (args.scheme, args.by) if args.command == "report" else ()
+        extra = [getattr(args, flag[2:].replace("-", "_")) for flag, _ in STAGE_FLAGS.get(args.command, ())]
         stats = run_stage(args.command, fn, config, *extra)
         summary = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"{args.command}: {summary}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .clusters import ClusterPartition
-from .errors import InputError
+from .errors import InputError, artifact_writer
 from .layout import LayoutMap
 from .network import CoNetwork
 
@@ -45,10 +45,9 @@ def format_pajek_net(net: CoNetwork, layout: LayoutMap | None = None) -> str:
 
 
 def write_pajek_net(net: CoNetwork, layout: LayoutMap | None, path: str | Path) -> None:
-    try:
-        Path(path).write_text(format_pajek_net(net, layout), encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    text = format_pajek_net(net, layout)
+    with artifact_writer(path) as fh:
+        fh.write(text)
 
 
 def _parse_vertex_line(line: str, lineno: int, path: Path) -> tuple[int, str, tuple[float, float] | None]:
@@ -164,10 +163,9 @@ def format_pajek_clu(partition: ClusterPartition) -> str:
 
 
 def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
-    try:
-        Path(path).write_text(format_pajek_clu(partition), encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    text = format_pajek_clu(partition)
+    with artifact_writer(path) as fh:
+        fh.write(text)
 
 
 def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:

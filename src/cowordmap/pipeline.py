@@ -2,14 +2,17 @@
 
 Every stage reads its inputs from the output directory (prior-stage files)
 and writes plain CSV/Pajek/SVG artifacts there. ``stage_table`` lists the
-stages in run order; ``run_pipeline`` chains them and the CLI exposes each
-one as a subcommand, both through ``run_stage``, so running stages one by
-one produces the same bytes as a full run. Intermediate artifacts are flat
-files on purpose: at this corpus scale everything should be inspectable and
-diffable.
+eight stages in run order; ``run_pipeline`` chains them and the CLI exposes
+each one as a subcommand, both through ``run_stage``, so running stages one
+by one produces the same bytes as a full run. Intermediate artifacts are
+flat files on purpose: at this corpus scale everything should be
+inspectable and diffable. Each is written whole or not at all
+(``errors.artifact_writer``): a failed stage leaves no truncated file.
 
-Keywords are normalized once, by ``normalize``; ``net`` and the period
-networks of ``compare`` are built alike from the sets in descriptors.csv.
+Keywords are normalized once, by ``normalize``. ``net`` builds the network,
+and a period network per configured window, from the sets in
+descriptors.csv; ``compare`` diffs two Pajek files, the period networks by
+default.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from pathlib import Path
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
-from .errors import InputError, StageError
+from .errors import InputError, StageError, artifact_writer
 from .layout import LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, threshold_filter
 from .pajek import read_pajek_clu, read_pajek_net, representable, write_pajek_clu, write_pajek_net
 from .records import (
+    DEFAULT_YEAR_RANGE,
     ClassScheme,
     PeriodWindow,
     RecordSet,
@@ -90,7 +94,7 @@ def default_scheme_path(which: str) -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    records: Path
+    records: Path | None  # read only by ingest
     out_dir: Path
     mapping: Path | None = None
     scheme_a: Path | None = None
@@ -101,7 +105,7 @@ class RunConfig:
     resolution: float = 1.0
     use_similarity: bool = True
     passthrough: bool = True
-    year_range: tuple[int, int] | None = (2001, 2012)
+    year_range: tuple[int, int] | None = DEFAULT_YEAR_RANGE
     layout: LayoutParams = field(default_factory=LayoutParams)
     svg: SvgOptions = field(default_factory=SvgOptions)
 
@@ -118,22 +122,11 @@ class RunConfig:
         return self.scheme_b or default_scheme_path("b")
 
     def echo(self) -> dict:
-        return {
-            "records": str(self.records),
-            "out_dir": str(self.out_dir),
-            "mapping": str(self.mapping) if self.mapping else None,
-            "scheme_a": str(self.scheme_a_path()),
-            "scheme_b": str(self.scheme_b_path()),
-            "min_occurrences": self.min_occurrences,
-            "windows": [w.label for w in self.windows],
-            "source": self.source,
-            "resolution": self.resolution,
-            "use_similarity": self.use_similarity,
-            "passthrough": self.passthrough,
-            "year_range": list(self.year_range) if self.year_range else None,
-            "layout": asdict(self.layout),
-            "svg": asdict(self.svg),
-        }
+        """Every field for the manifest: paths as strings (the schemes
+        resolved to the files used) and windows as labels."""
+        echo = {k: str(v) if isinstance(v, Path) else v for k, v in asdict(self).items()}
+        return echo | {"scheme_a": str(self.scheme_a_path()), "scheme_b": str(self.scheme_b_path()),
+                       "windows": [w.label for w in self.windows]}
 
 
 def parse_windows(text: str) -> tuple[PeriodWindow, ...]:
@@ -191,14 +184,22 @@ def _load_ingested(config: RunConfig) -> RecordSet:
     return parse_records(path, _schemes(config), config.year_range)
 
 
-def _read_descriptor_sets(config: RunConfig) -> dict[str, frozenset[str]]:
-    path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
-    per_record: dict[str, set[str]] = {}
+def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
+    return config.out_dir / f"period_{window.start_year}_{window.end_year}.net"
+
+
+def _csv_rows(path: Path):
+    """The rows of a CSV artifact below its header."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for record_id, descriptor in reader:
-            per_record.setdefault(record_id, set()).add(descriptor)
+        yield from reader
+
+
+def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
+    per_record: dict[str, set[str]] = {}
+    for record_id, descriptor in _csv_rows(path):
+        per_record.setdefault(record_id, set()).add(descriptor)
     return {rid: frozenset(s) for rid, s in per_record.items()}
 
 
@@ -211,15 +212,8 @@ def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
 def _read_network(config: RunConfig) -> CoNetwork:
     vpath = _require(config.out_dir / VERTICES_FILE, "net")
     epath = _require(config.out_dir / EDGES_FILE, "net")
-    with open(vpath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        vertices = [(label, int(count)) for label, count in reader]
-    with open(epath, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        edges = [(a, b, int(w)) for a, b, w in reader]
-    return make_network(vertices, edges)
+    vertices = [(label, int(count)) for label, count in _csv_rows(vpath)]
+    return make_network(vertices, [(a, b, int(w)) for a, b, w in _csv_rows(epath)])
 
 
 # --- stages ------------------------------------------------------------------
@@ -227,6 +221,8 @@ def _read_network(config: RunConfig) -> CoNetwork:
 
 def stage_ingest(config: RunConfig) -> dict:
     """Parse, validate and filter the corpus; write the canonical records.csv."""
+    if config.records is None:
+        raise InputError("no records file given (--records or config 'records')")
     rs = parse_records(config.records, _schemes(config), config.year_range)
     if len(rs) == 0:
         raise InputError(f"records file {config.records} contains no records")
@@ -234,10 +230,7 @@ def stage_ingest(config: RunConfig) -> dict:
     if len(rs) == 0:
         raise InputError(f"no records left after source filter '{config.source}'")
     write_records(rs, config.out_dir / RECORDS_FILE)
-    by_source: dict[str, int] = {}
-    for r in rs:
-        by_source[r.source] = by_source.get(r.source, 0) + 1
-    return {"records": len(rs), "by_source": by_source}
+    return {"records": len(rs), "by_source": dict(Counter(r.source for r in rs))}
 
 
 def stage_report(config: RunConfig, scheme: str = "both", by: str = "none") -> dict:
@@ -292,10 +285,7 @@ def stage_normalize(config: RunConfig) -> dict:
         rid = next(r.id for r in rs if bad in idx.per_record[r.id])
         raise InputError(f"record '{rid}': descriptor {bad!r} contains '\"' or a line break, "
                          "which a Pajek label cannot hold")
-    rows = []
-    for r in rs:
-        for d in sorted(idx.per_record.get(r.id, ())):
-            rows.append((r.id, d))
+    rows = [(r.id, d) for r in rs for d in sorted(idx.per_record.get(r.id, ()))]
     write_descriptors_csv(rows, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)
@@ -310,8 +300,20 @@ def stage_normalize(config: RunConfig) -> dict:
 
 
 def stage_net(config: RunConfig) -> dict:
-    """Build the co-occurrence network and apply the frequency threshold."""
-    full = _cooccurrence_network(_read_descriptor_sets(config))
+    """Build the co-occurrence network and apply the frequency threshold; likewise
+    one period network per configured window, from the sets of its records."""
+    sets_path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
+    periods = []
+    if config.windows:
+        # only the ids are kept, so the parsed records are freed before the sets are read
+        periods = [[r.id for r in sub] for sub in split_periods(_load_ingested(config), list(config.windows))]
+    per_record = _read_descriptor_sets(sets_path)
+    # the period networks first, so no two unthresholded networks are alive at once
+    for window, ids in zip(config.windows, periods):
+        sets = {rid: per_record[rid] for rid in ids if rid in per_record}
+        period = threshold_filter(_cooccurrence_network(sets), config.min_occurrences)
+        write_pajek_net(period, None, _period_net_path(config, window))
+    full = _cooccurrence_network(per_record)
     net = threshold_filter(full, config.min_occurrences)
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)
@@ -363,40 +365,29 @@ def stage_export(config: RunConfig) -> dict:
     return {"files": [SVG_FILE]}
 
 
-def _compare(net_a: CoNetwork, net_b: CoNetwork, labels: tuple[str, str], out_path: Path) -> dict:
+def stage_compare_windows(config: RunConfig, a: str | Path | None = None, b: str | Path | None = None,
+                          label_a: str | None = None, label_b: str | None = None) -> dict:
+    """Diff two Pajek networks into compare.csv: files ``a`` and ``b``, or
+    the period networks of the two configured windows when neither is given.
+    A side's label defaults to its window's label, or to its file's stem."""
+    if (a is None) != (b is None):
+        raise InputError("compare needs both --a and --b, or neither")
+    if a is None:
+        if len(config.windows) != 2:
+            raise InputError("compare needs exactly two configured windows, or --a and --b")
+        a, b = (_period_net_path(config, w) for w in config.windows)
+        label_a, label_b = label_a or config.windows[0].label, label_b or config.windows[1].label
+    net_a, _ = read_pajek_net(_require(Path(a), "net"))
+    net_b, _ = read_pajek_net(_require(Path(b), "net"))
+    labels = (label_a or Path(a).stem, label_b or Path(b).stem)
     report = compare_networks(net_a, net_b, labels)
-    write_compare_csv(report, out_path)
+    write_compare_csv(report, config.out_dir / COMPARE_FILE)
     return {
         "sides": list(labels),
         "appeared": len(report.appeared),
         "vanished": len(report.vanished),
         "persisted": len(report.persisted),
     }
-
-
-def compare_files(a_path: Path, b_path: Path, labels: tuple[str, str], out_path: Path) -> dict:
-    """Compare two Pajek networks and write the report CSV."""
-    net_a, _ = read_pajek_net(_require(Path(a_path), "net/layout"))
-    net_b, _ = read_pajek_net(_require(Path(b_path), "net/layout"))
-    return _compare(net_a, net_b, labels, out_path)
-
-
-def stage_compare_windows(config: RunConfig) -> dict:
-    """Per-window networks, built from the window's records' sets in
-    descriptors.csv, plus the side-by-side report (exactly two windows)."""
-    if len(config.windows) != 2:
-        raise InputError("compare needs exactly two configured windows")
-    # only the ids are kept, so the parsed records are freed before the sets are read
-    periods = [[r.id for r in sub] for sub in split_periods(_load_ingested(config), list(config.windows))]
-    per_record = _read_descriptor_sets(config)
-    nets = []
-    for ids in periods:
-        sets = {rid: per_record[rid] for rid in ids if rid in per_record}
-        nets.append(threshold_filter(_cooccurrence_network(sets), config.min_occurrences))
-    for window, net in zip(config.windows, nets):
-        write_pajek_net(net, None, config.out_dir / f"period_{window.start_year}_{window.end_year}.net")
-    labels = (config.windows[0].label, config.windows[1].label)
-    return _compare(nets[0], nets[1], labels, config.out_dir / COMPARE_FILE)
 
 
 # --- stage table and full run ------------------------------------------------
@@ -416,6 +407,7 @@ def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
         ("cluster", stage_cluster, "detect thematic clusters"),
         ("layout", stage_layout, "compute the Kamada-Kawai map coordinates"),
         ("export", stage_export, "render the SVG label map"),
+        ("compare", stage_compare_windows, "diff two Pajek networks, by default the two period networks"),
     )
 
 
@@ -442,19 +434,17 @@ def run_pipeline(config: RunConfig) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    inputs = {"records": config.records, "scheme_a": config.scheme_a_path(), "scheme_b": config.scheme_b_path()}
-    if config.mapping is not None:
-        inputs["mapping"] = config.mapping
+    inputs = {"records": config.records, "mapping": config.mapping,
+              "scheme_a": config.scheme_a_path(), "scheme_b": config.scheme_b_path()}
     digests = {}
-    for name, path in sorted(inputs.items()):
+    for name, path in sorted((name, path) for name, path in inputs.items() if path is not None):
         if not Path(path).exists():
             raise StageError("ingest", InputError(f"input file {path} does not exist"))
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
-    plan = [(name, fn) for name, fn, _ in stage_table()]
-    if len(config.windows) == 2:
-        plan.append(("compare", stage_compare_windows))
-    stages = {name: run_stage(name, fn, config) for name, fn in plan}
+    # compare diffs the period networks, so a run compares only when there are two
+    stages = {name: run_stage(name, fn, config) for name, fn, _ in stage_table()
+              if name != "compare" or len(config.windows) == 2}
 
     manifest = {
         "artifact": {"name": "cowordmap", "version": __version__},
@@ -463,7 +453,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "stages": stages,
         "timestamps": {"started": started, "finished": datetime.now(timezone.utc).isoformat()},
     }
-    (config.out_dir / MANIFEST_FILE).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with artifact_writer(config.out_dir / MANIFEST_FILE) as fh:
+        fh.write(text)
     return manifest

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, artifact_writer
 
 DEFAULT_YEAR_RANGE = (2001, 2012)
 
@@ -168,7 +168,7 @@ def parse_records(
 
 def write_records(rs: RecordSet, path: str | Path) -> None:
     """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with artifact_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER)
         for r in rs:

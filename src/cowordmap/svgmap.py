@@ -15,7 +15,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .clusters import ClusterPartition
-from .errors import InputError
+from .errors import artifact_writer
 from .layout import LayoutMap, normalize_unit_square
 from .network import CoNetwork
 
@@ -137,7 +137,5 @@ def write_label_map_svg(
     weights.
     """
     text = render_label_map_svg(net, layout, partition, freq, opts)
-    try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    with artifact_writer(path) as fh:
+        fh.write(text)

@@ -7,19 +7,16 @@ from pathlib import Path
 
 from .clusters import ClusterSummary, format_legend
 from .compare import CompareReport
-from .errors import InputError
+from .errors import artifact_writer
 from .network import CoNetwork
 from .vocabulary import CoverageStats
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    with artifact_writer(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from cowordmap.pipeline import (
 )
 from cowordmap.network import build_network, threshold_filter
 from cowordmap.records import PeriodWindow, parse_records, split_periods
+from cowordmap.tables import write_csv
 from cowordmap.vocabulary import normalize
 
 EXPECTED_FILES = {
@@ -128,10 +130,9 @@ def test_stage_isolation_matches_full_run(tmp_path, capsys):
     args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(staged),
             "--windows", "2001-2006,2007-2012"]
     names = [name for name, _, _ in stage_table()]
-    assert names == ["ingest", "report", "normalize", "net", "cluster", "layout", "export"]
+    assert names == ["ingest", "report", "normalize", "net", "cluster", "layout", "export", "compare"]
     for name in names:
         assert main([name, *args]) == 0, capsys.readouterr().err
-    stage_compare_windows(fixture_config(staged))
 
     full_files = snapshot(full)
     staged_files = snapshot(staged)
@@ -333,6 +334,51 @@ def test_period_networks_match_normalized_window_oracle(tmp_path, schemes, fixtu
         expected = format_pajek_net(threshold_filter(build_network(idx), min_occ))
         path = out / f"period_{window.start_year}_{window.end_year}.net"
         assert path.read_text(encoding="utf-8") == expected
+
+
+def test_cli_compare_needs_both_files_or_neither(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    a, b = str(out / "period_2001_2006.net"), str(out / "period_2007_2012.net")
+    assert main(["compare", "--a", a, "--out", str(tmp_path / "one")]) == 1
+    assert "--a and --b" in capsys.readouterr().err
+    assert not (tmp_path / "one" / "compare.csv").exists()
+
+    # no --records: compare reads only the two Pajek files
+    assert main(["compare", "--a", a, "--b", b, "--out", str(tmp_path / "two")]) == 0
+    assert capsys.readouterr().out.startswith("compare: sides=['period_2001_2006', 'period_2007_2012']")
+    rows = (tmp_path / "two" / "compare.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1] == "sides,label,period_2001_2006,period_2007_2012,"
+    assert rows[2:] == (out / "compare.csv").read_text(encoding="utf-8").splitlines()[2:]
+
+
+@pytest.mark.parametrize("name", ["records.csv", "coverage.csv", "network.net", "map.svg", "manifest.json"])
+def test_cli_unwritable_artifact_exit_one(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main(["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                 "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"cannot write {out / name}" in err
+    assert "Traceback" not in err
+    assert (out / name).is_dir()
+    assert not list(out.glob("*.part"))
+
+
+def test_write_csv_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a"], [[1], [2]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [3]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(InputError, match=re.escape(f"cannot write {path}: row source failed")):
+        write_csv(path, ["a"], rows())
+    assert path.read_bytes() == before == b"a\n1\n2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
 
 def test_cli_compare_needs_windows_for_pipeline(tmp_path):
