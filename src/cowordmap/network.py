@@ -8,6 +8,7 @@ order is canonical: weight descending, ties by label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -98,11 +99,9 @@ def build_network(idx: OccurrenceIndex) -> CoNetwork:
     totals = {d: c for d, c in idx.totals.items() if c > 0}
     labels = canonical_vertex_order(totals)
     index = {t: i for i, t in enumerate(labels)}
-    pair_counts: dict[tuple[int, int], int] = {}
+    pair_counts: Counter[tuple[int, int]] = Counter()
     for descriptors in idx.per_record.values():
-        members = sorted(index[d] for d in descriptors if d in index)
-        for i, j in combinations(members, 2):
-            pair_counts[(i, j)] = pair_counts.get((i, j), 0) + 1
+        pair_counts.update(combinations(sorted(index[d] for d in descriptors if d in index), 2))
     edges = tuple(sorted((i, j, c) for (i, j), c in pair_counts.items()))
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
 

@@ -171,7 +171,11 @@ def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
 def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     """Cluster ids (dense 1..k) of a partition file that must cover exactly ``n`` vertices."""
     path = Path(path)
-    lines = [l.strip() for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    lines = [l.strip() for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise InputError(f"{path}: not a Pajek partition file")
     body = lines[1:]

@@ -1,18 +1,22 @@
 """End-to-end pipeline with manifest-recorded, reproducible runs.
 
-Every stage reads its inputs from the output directory (prior-stage files)
-and writes plain CSV/Pajek/SVG artifacts there. ``stage_table`` lists the
-eight stages in run order; ``run_pipeline`` chains them and the CLI exposes
-each one as a subcommand, both through ``run_stage``, so running stages one
-by one produces the same bytes as a full run. Intermediate artifacts are
-flat files on purpose: at this corpus scale everything should be
-inspectable and diffable. Each is written whole or not at all
-(``errors.artifact_writer``): a failed stage leaves no truncated file.
+Every stage writes plain CSV/Pajek/SVG artifacts to the output directory.
+``stage_table`` lists the eight stages in run order; ``run_pipeline``
+chains them and the CLI exposes each one as a subcommand, both through
+``run_stage``. Intermediate artifacts are flat files on purpose: at this
+corpus scale everything should be inspectable and diffable. Each is written
+whole or not at all (``errors.artifact_writer``): a failed stage leaves no
+truncated file.
+
+``run`` parses the records once. Its ``RunState`` hands ingest's records to
+report, normalize and net, and normalize's per-record descriptor sets to
+net, in memory; net drops both before it counts pairs. A subcommand has no
+state and reads the same data back from records.csv and descriptors.csv, so
+running the stages one by one gives the same bytes as a full run.
 
 Keywords are normalized once, by ``normalize``. ``net`` builds the network,
-and a period network per configured window, from the sets in
-descriptors.csv; ``compare`` diffs two Pajek files, the period networks by
-default.
+and a period network per configured window, from the descriptor sets;
+``compare`` diffs two Pajek files, the period networks by default.
 """
 
 from __future__ import annotations
@@ -179,7 +183,22 @@ def _schemes(config: RunConfig) -> tuple[ClassScheme, ClassScheme]:
     )
 
 
-def _load_ingested(config: RunConfig) -> RecordSet:
+@dataclass
+class RunState:
+    """What one ``run_pipeline`` call hands from stage to stage in memory.
+
+    ``records`` is ingest's filtered set and ``sets`` normalize's non-empty
+    per-record descriptor sets: the data records.csv and descriptors.csv
+    hold. Net takes both. A stage called without a state reads the files.
+    """
+
+    records: RecordSet | None = None
+    sets: dict[str, frozenset[str]] | None = None
+
+
+def _ingested(config: RunConfig, state: RunState | None) -> RecordSet:
+    if state is not None and state.records is not None:
+        return state.records
     path = _require(config.out_dir / RECORDS_FILE, "ingest")
     return parse_records(path, _schemes(config), config.year_range)
 
@@ -190,10 +209,13 @@ def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
 
 def _csv_rows(path: Path):
     """The rows of a CSV artifact below its header."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        yield from reader
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)
+            yield from reader
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
@@ -219,7 +241,7 @@ def _read_network(config: RunConfig) -> CoNetwork:
 # --- stages ------------------------------------------------------------------
 
 
-def stage_ingest(config: RunConfig) -> dict:
+def stage_ingest(config: RunConfig, *, state: RunState | None = None) -> dict:
     """Parse, validate and filter the corpus; write the canonical records.csv."""
     if config.records is None:
         raise InputError("no records file given (--records or config 'records')")
@@ -230,12 +252,15 @@ def stage_ingest(config: RunConfig) -> dict:
     if len(rs) == 0:
         raise InputError(f"no records left after source filter '{config.source}'")
     write_records(rs, config.out_dir / RECORDS_FILE)
+    if state is not None:
+        state.records = rs
     return {"records": len(rs), "by_source": dict(Counter(r.source for r in rs))}
 
 
-def stage_report(config: RunConfig, scheme: str = "both", by: str = "none") -> dict:
+def stage_report(config: RunConfig, scheme: str = "both", by: str = "none", *,
+                 state: RunState | None = None) -> dict:
     """Classification tables from the ingested records."""
-    rs = _load_ingested(config)
+    rs = _ingested(config, state)
     scheme_a, scheme_b = _schemes(config)
     files = []
 
@@ -275,9 +300,9 @@ def stage_report(config: RunConfig, scheme: str = "both", by: str = "none") -> d
     return {"files": files}
 
 
-def stage_normalize(config: RunConfig) -> dict:
+def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict:
     """Canonicalize keywords and write the descriptor/frequency artifacts."""
-    rs = _load_ingested(config)
+    rs = _ingested(config, state)
     table = MappingTable({}) if config.mapping is None else load_mapping(config.mapping)
     idx = normalize(rs, table, passthrough=config.passthrough)
     bad = min((d for d in idx.totals if not representable(d)), default=None)
@@ -291,6 +316,9 @@ def stage_normalize(config: RunConfig) -> dict:
     stats = coverage_stats(idx, config.min_occurrences)
     write_coverage_csv(stats, config.min_occurrences, config.out_dir / COVERAGE_FILE)
     write_unmapped_csv(idx.unmapped, config.out_dir / UNMAPPED_FILE)
+    if state is not None:
+        # the sets descriptors.csv holds: a record without descriptors has no row there
+        state.sets = {rid: s for rid, s in idx.per_record.items() if s}
     return {
         "descriptors": stats.n_descriptors_total,
         "occurrences": stats.n_occurrences_total,
@@ -299,15 +327,20 @@ def stage_normalize(config: RunConfig) -> dict:
     }
 
 
-def stage_net(config: RunConfig) -> dict:
+def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     """Build the co-occurrence network and apply the frequency threshold; likewise
     one period network per configured window, from the sets of its records."""
     sets_path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
     periods = []
     if config.windows:
-        # only the ids are kept, so the parsed records are freed before the sets are read
-        periods = [[r.id for r in sub] for sub in split_periods(_load_ingested(config), list(config.windows))]
-    per_record = _read_descriptor_sets(sets_path)
+        periods = [[r.id for r in sub] for sub in split_periods(_ingested(config, state), list(config.windows))]
+    per_record = state.sets if state is not None else None
+    if state is not None:
+        # net is the last user of both: only the window ids are kept, so the records
+        # are freed before any pair is counted, and the sets with this stage
+        state.records = state.sets = None
+    if per_record is None:
+        per_record = _read_descriptor_sets(sets_path)
     # the period networks first, so no two unthresholded networks are alive at once
     for window, ids in zip(config.windows, periods):
         sets = {rid: per_record[rid] for rid in ids if rid in per_record}
@@ -359,8 +392,8 @@ def stage_export(config: RunConfig) -> dict:
     clu_path = _require(config.out_dir / CLU_FILE, "cluster")
     assignment = read_pajek_clu(clu_path, net.n_vertices)
     partition = ClusterPartition(assignment, 0.0)
-    weighted = _read_network(config)
-    freq = dict(zip(weighted.labels, weighted.require_weights()))
+    vertices = _require(config.out_dir / VERTICES_FILE, "net")
+    freq = {label: int(count) for label, count in _csv_rows(vertices)}
     write_label_map_svg(net, layout, partition, freq, config.out_dir / SVG_FILE, config.svg)
     return {"files": [SVG_FILE]}
 
@@ -411,10 +444,14 @@ def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
     )
 
 
-def run_stage(name: str, fn: Callable[..., dict], *args) -> dict:
+# the stages that take a keyword-only ``state``: run hands them a RunState
+STATEFUL = ("ingest", "report", "normalize", "net")
+
+
+def run_stage(name: str, fn: Callable[..., dict], *args, **kwargs) -> dict:
     """Call one stage; any failure comes out as a StageError naming it."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except StageError:
         raise
     except Exception as exc:
@@ -423,9 +460,12 @@ def run_stage(name: str, fn: Callable[..., dict], *args) -> dict:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     return h.hexdigest()
 
 
@@ -442,9 +482,10 @@ def run_pipeline(config: RunConfig) -> dict:
             raise StageError("ingest", InputError(f"input file {path} does not exist"))
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
+    state = RunState()
     # compare diffs the period networks, so a run compares only when there are two
-    stages = {name: run_stage(name, fn, config) for name, fn, _ in stage_table()
-              if name != "compare" or len(config.windows) == 2}
+    stages = {name: run_stage(name, fn, config, **({"state": state} if name in STATEFUL else {}))
+              for name, fn, _ in stage_table() if name != "compare" or len(config.windows) == 2}
 
     manifest = {
         "artifact": {"name": "cowordmap", "version": __version__},

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
+from cowordmap import pipeline
 from cowordmap.cli import main
 from cowordmap.errors import InputError, StageError
 from cowordmap.layout import LayoutParams
@@ -364,6 +365,87 @@ def test_cli_unwritable_artifact_exit_one(tmp_path, capsys, name):
     assert "Traceback" not in err
     assert (out / name).is_dir()
     assert not list(out.glob("*.part"))
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("network.clu", "export"),
+    ("vertices.csv", "cluster"),
+    ("descriptors.csv", "net"),
+])
+def test_cli_unreadable_artifact_exit_one(tmp_path, capsys, name, stage):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    (out / name).unlink()
+    (out / name).mkdir()
+    code = main([stage, "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                 "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"stage '{stage}': cannot read {out / name}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_unreadable_input_exit_one(tmp_path, capsys):
+    mapping = tmp_path / "mapping.txt"
+    mapping.mkdir()
+    code = main(["run", "--records", str(RECORDS_CSV), "--mapping", str(mapping), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"cannot read {mapping}" in err
+    assert "Traceback" not in err
+
+
+def test_run_parses_records_once(tmp_path, monkeypatch):
+    calls = []
+    parse = pipeline.parse_records
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return parse(*args, **kwargs)
+
+    def unexpected(path):
+        raise AssertionError(f"run read {path} back")
+
+    monkeypatch.setattr(pipeline, "parse_records", counted)
+    monkeypatch.setattr(pipeline, "_read_descriptor_sets", unexpected)
+    run_pipeline(fixture_config(tmp_path / "out"))
+    assert calls == [RECORDS_CSV]
+
+
+def test_runs_in_one_process_share_nothing(tmp_path):
+    # corpus B: every other fixture record, so its ids are a subset of A's
+    lines = RECORDS_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    records_b = tmp_path / "b.csv"
+    records_b.write_text("".join(lines[:1] + lines[1::2]), encoding="utf-8")
+
+    def run(records, out):
+        run_pipeline(fixture_config(out, records=records, min_occurrences=2))
+        files = snapshot(out)
+        manifest = without_timestamps(files.pop(MANIFEST_FILE))
+        manifest["config"].pop("out_dir")
+        return files, manifest
+
+    first_a = run(RECORDS_CSV, tmp_path / "a1")
+    in_turn_b = run(records_b, tmp_path / "b1")
+    second_a = run(RECORDS_CSV, tmp_path / "a2")
+    assert first_a == second_a
+    assert first_a[0] != in_turn_b[0]
+
+    # B on its own, in a fresh interpreter
+    alone = tmp_path / "b2"
+    env = dict(os.environ)
+    package_root = str(Path(pipeline.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "cowordmap", "run", "--records", str(records_b), "--mapping", str(MAPPING_TXT),
+         "--out", str(alone), "--min-occ", "2", "--windows", "2001-2006,2007-2012"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    alone_files = snapshot(alone)
+    alone_manifest = without_timestamps(alone_files.pop(MANIFEST_FILE))
+    alone_manifest["config"].pop("out_dir")
+    assert in_turn_b == (alone_files, alone_manifest)
 
 
 def test_write_csv_failure_keeps_old_file(tmp_path):
