@@ -3,30 +3,29 @@
 One subcommand per entry of ``pipeline.stage_table`` (ingest, report,
 normalize, net, cluster, layout, export, compare), plus ``run`` for the
 whole chain; ``compare`` diffs ``--a``/``--b``, or the period networks of
-``net``. Values come from flags first, then the ``--config`` file
-(``key = value`` lines), then defaults. Exit codes: 0 success, 1 input
-error (also an output file that cannot be written; files are written
-whole or not at all), 2 pipeline error; diagnostics go to stderr, and so
-does a warning when the layout did not converge (the exit code stays 0).
+``net``. Each setting is one row of ``OPTIONS``: flag, ``--config`` key
+(``key = value`` lines; an unknown key is an error), field and help. A value
+comes from the flag, else the config file, else the field's default, which
+``--help`` shows. Exit codes: 0 success, 1 input error (a bad value names
+its flag and key; an input that cannot be read or decoded, or an output
+that cannot be written, names its file; files are written whole or not at
+all), 2 pipeline error; diagnostics go to stderr, and so does a warning
+when the layout did not converge (the exit code stays 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from .errors import InputError, StageError
+from .errors import InputError, StageError, content_lines
 from .layout import LayoutParams
-from .pipeline import (
-    RunConfig,
-    load_config_file,
-    parse_windows,
-    run_pipeline,
-    run_stage,
-    stage_table,
-)
+from .pipeline import RunConfig, parse_windows, run_pipeline, run_stage, stage_table
 from .svgmap import SvgOptions
 
 
@@ -36,29 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file with key = value lines")
-    p.add_argument("--records", help="records CSV file")
-    p.add_argument("--mapping", help="keyword mapping file")
-    p.add_argument("--scheme-a", help="scheme A labels file (default: bundled)")
-    p.add_argument("--scheme-b", help="scheme B labels file (default: bundled)")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--min-occ", type=int, help="occurrence threshold (default: 5)")
-    p.add_argument("--windows", help='period windows, e.g. "2001-2006,2007-2012"')
-    p.add_argument("--source", help="keep only records with this source tag")
-    p.add_argument("--resolution", type=float, help="clustering resolution (default: 1.0)")
-    p.add_argument("--raw-weights", action="store_true", default=None,
-                   help="cluster on raw co-occurrence counts instead of similarities")
-    p.add_argument("--no-passthrough", action="store_true", default=None,
-                   help="drop unmapped keywords instead of keeping them as descriptors")
-    p.add_argument("--year-range", help='valid record years, e.g. "2001-2012" or "none"')
-    p.add_argument("--layout-scale", type=float, help="ideal edge display length (default: 1.0)")
-    p.add_argument("--layout-tolerance", type=float, help="gradient tolerance (default: 1e-4)")
-    p.add_argument("--layout-max-iter", type=int, help="layout iteration budget (default: 10000)")
-    p.add_argument("--svg-size", type=int, help="SVG viewport size in px (default: 800)")
-    p.add_argument("--edge-floor", type=int, help="hide SVG edges below this weight (default: 1)")
 
 
 # Flags of one stage only; their values follow the config in the call of its function.
@@ -72,90 +48,116 @@ STAGE_FLAGS = {
 }
 
 
-# Numeric settings: field of RunConfig, LayoutParams or SvgOptions -> (flag,
-# config key, type); an unset one keeps the field's default. Each ValueError
-# those classes raise starts with the field's name, which names the option.
-NUMERIC_OPTIONS = {
-    "min_occurrences": ("--min-occ", "min_occurrences", int),
-    "resolution": ("--resolution", "resolution", float),
-    "scale": ("--layout-scale", "layout_scale", float),
-    "tolerance": ("--layout-tolerance", "layout_tolerance", float),
-    "max_iterations": ("--layout-max-iter", "layout_max_iterations", int),
-    "size": ("--svg-size", "svg_size", int),
-    "edge_weight_floor": ("--edge-floor", "edge_weight_floor", int),
-}
-
-
-def _bool(text: str, key: str) -> bool:
+def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise InputError(f"config key '{key}' is not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
+def _year_range(text: str) -> tuple[int, int] | None:
+    if text.strip().lower() == "none":
+        return None
+    years = parse_windows(text)
+    if len(years) != 1:
+        raise ValueError(f"year_range must be a single interval, got {text!r}")
+    return years[0].start_year, years[0].end_year
+
+
+class Option(NamedTuple):
+    """One setting: its flag, its config file key, the field it sets (of
+    RunConfig, or ``layout.``/``svg.`` for LayoutParams and SvgOptions), the
+    conversion of its text, and its help. A ``switch`` flag takes no value:
+    it stands for that text under the config key."""
+
+    flag: str
+    key: str
+    field: str
+    convert: Callable[[str], object]
+    help: str
+    switch: str | None = None
+
+    def owner(self) -> tuple[type, str]:
+        """The dataclass that holds the field, and the field's name there."""
+        group, _, name = self.field.rpartition(".")
+        return {"": RunConfig, "layout": LayoutParams, "svg": SvgOptions}[group], name
+
+
+OPTIONS = (
+    Option("--records", "records", "records", _path, "records CSV file"),
+    Option("--mapping", "mapping", "mapping", _path, "keyword mapping file"),
+    Option("--scheme-a", "scheme_a", "scheme_a", _path, "scheme A labels file (default: bundled)"),
+    Option("--scheme-b", "scheme_b", "scheme_b", _path, "scheme B labels file (default: bundled)"),
+    Option("--out", "out", "out_dir", Path, "output directory"),
+    Option("--min-occ", "min_occurrences", "min_occurrences", int, "occurrence threshold"),
+    Option("--windows", "windows", "windows", parse_windows, 'period windows, e.g. "2001-2006,2007-2012"'),
+    Option("--source", "source", "source", str, "keep only records with this source tag"),
+    Option("--resolution", "resolution", "resolution", float, "clustering resolution"),
+    Option("--raw-weights", "raw_weights", "use_similarity", lambda text: not _bool(text),
+           "cluster on raw co-occurrence counts instead of similarities", switch="true"),
+    Option("--no-passthrough", "passthrough", "passthrough", _bool,
+           "drop unmapped keywords instead of keeping them as descriptors", switch="false"),
+    Option("--year-range", "year_range", "year_range", _year_range, 'valid record years, START-END or "none"'),
+    Option("--layout-scale", "layout_scale", "layout.scale", float, "ideal edge display length"),
+    Option("--layout-tolerance", "layout_tolerance", "layout.tolerance", float,
+           "gradient tolerance, in units of a component's mean graph distance"),
+    Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int, "layout iteration budget"),
+    Option("--svg-size", "svg_size", "svg.size", int, "SVG viewport size in px"),
+    Option("--edge-floor", "edge_weight_floor", "svg.edge_weight_floor", int, "hide SVG edges below this weight"),
+)
+
+
+def _help(option: Option) -> str:
+    """The option's help, with its field's default where that is a value."""
+    cls, name = option.owner()
+    default = next(f.default for f in fields(cls) if f.name == name)
+    if option.switch is not None or default in (None, ()):
+        return option.help
+    shown = "-".join(map(str, default)) if isinstance(default, tuple) else default
+    return f"{option.help} (default: {shown})"
+
+
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Line-oriented ``key = value`` file; '#' comments and blanks ignored.
+    A key that names no option is an error."""
+    keys = {option.key for option in OPTIONS}
+    values: dict[str, str] = {}
+    for lineno, stripped in content_lines(path, "config file "):
+        key, sep, value = (part.strip() for part in stripped.partition("="))
+        if not sep:
+            raise InputError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        if key not in keys:
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
+    return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its flag, else the config file, else its field's default.
+    A value is checked alone, by building its dataclass from that field."""
     file_vals = load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return file_vals.get(key, default)
-
-    def numbers(*names: str) -> dict:
-        """Field -> value of each named option set by a flag or the config file."""
-        values = {}
-        for name in names:
-            flag, key, convert = NUMERIC_OPTIONS[name]
-            value = pick(getattr(args, flag[2:].replace("-", "_")), key)
-            try:
-                if value is not None:
-                    values[name] = convert(value)
-            except ValueError:
-                raise InputError(f"bad value for {flag} (config key '{key}'): "
-                                 f"expected {convert.__name__}, got {value!r}") from None
-        return values
-
-    records = pick(args.records, "records")
-    out_dir = Path(pick(args.out, "out", "out"))
-    mapping = pick(args.mapping, "mapping")
-    windows_text = pick(args.windows, "windows")
-    optional = numbers("min_occurrences", "resolution")
-    year_text = pick(args.year_range, "year_range")
-    if year_text is not None and year_text.strip().lower() == "none":
-        optional["year_range"] = None
-    elif year_text is not None:
-        yr = parse_windows(year_text)
-        if len(yr) != 1:
-            raise InputError(f"year_range must be a single interval, got {year_text!r}")
-        optional["year_range"] = (yr[0].start_year, yr[0].end_year)
-
-    raw_weights = args.raw_weights if args.raw_weights is not None else (
-        _bool(file_vals["raw_weights"], "raw_weights") if "raw_weights" in file_vals else False
-    )
-    no_passthrough = args.no_passthrough if args.no_passthrough is not None else (
-        not _bool(file_vals["passthrough"], "passthrough") if "passthrough" in file_vals else False
-    )
-
-    try:
-        return RunConfig(
-            records=Path(records) if records else None,
-            out_dir=out_dir,
-            mapping=Path(mapping) if mapping else None,
-            scheme_a=Path(p) if (p := pick(args.scheme_a, "scheme_a")) else None,
-            scheme_b=Path(p) if (p := pick(args.scheme_b, "scheme_b")) else None,
-            windows=parse_windows(windows_text) if windows_text else (),
-            source=pick(args.source, "source"),
-            use_similarity=not raw_weights,
-            passthrough=not no_passthrough,
-            layout=LayoutParams(**numbers("scale", "tolerance", "max_iterations")),
-            svg=SvgOptions(**numbers("size", "edge_weight_floor")),
-            **optional,
-        )
-    except ValueError as exc:
-        flag, key, _ = NUMERIC_OPTIONS[str(exc).split(" ", 1)[0]]
-        raise InputError(f"bad value for {flag} (config key '{key}'): {exc}") from None
+    values: dict[type, dict[str, object]] = {RunConfig: {}, LayoutParams: {}, SvgOptions: {}}
+    for option in OPTIONS:
+        text = getattr(args, option.key)
+        if text is None:
+            text = file_vals.get(option.key)
+        if text is None:
+            continue
+        cls, name = option.owner()
+        try:
+            value = option.convert(text)
+            cls(**{name: value})
+        except (ValueError, InputError) as exc:
+            raise InputError(f"bad value for {option.flag} (config key '{option.key}'): {exc}") from None
+        values[cls][name] = value
+    return RunConfig(**values[RunConfig], layout=LayoutParams(**values[LayoutParams]),
+                     svg=SvgOptions(**values[SvgOptions]))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -163,7 +165,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cowordmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     shared = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
-    _add_config_flags(shared)
+    shared.add_argument("--config", help="config file with key = value lines")
+    for option in OPTIONS:
+        shared.add_argument(option.flag, dest=option.key, help=_help(option), const=option.switch,
+                            action="store" if option.switch is None else "store_const")
 
     commands = [("run", "run the whole pipeline and write the manifest")]
     commands += [(name, text) for name, _, text in stage_table()]

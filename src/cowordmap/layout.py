@@ -11,7 +11,9 @@ L-BFGS-B. ``stress_objective`` is the one implementation of E: built once
 per component, with every term that depends only on the distances
 precomputed, it returns E and its analytic gradient from a single pass over
 the pair matrix. ``stress`` and ``stress_gradient`` are thin wrappers over
-it. scipy's optimizer is imported by the first layout, not at start-up.
+it. Each component is solved in units of its mean graph distance, which
+is also the unit of ``LayoutParams.tolerance``. scipy's optimizer is
+imported by the first layout, not at start-up.
 Initialization is a circle in canonical vertex order, so runs are
 reproducible without a seed.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .network import CoNetwork, component_subnetworks, connected_components
+from .network import CoNetwork, component_subnetworks, connected_components, edge_matrix
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,8 @@ def graph_distances(net: CoNetwork) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """
     out = []
     for comp, sub in component_subnetworks(net):
-        m = len(comp)
-        d = np.full((m, m), np.inf)
-        np.fill_diagonal(d, 0.0)
-        for i, j, c in sub.edges:
-            length = 1.0 / c
-            if length < d[i, j]:
-                d[i, j] = d[j, i] = length
-        _kernels.floyd_warshall(d)
-        out.append((comp, d))
+        d = edge_matrix(sub, [1.0 / c for _, _, c in sub.edges], np.inf)
+        out.append((comp, _kernels.floyd_warshall(d)))
     return out
 
 
@@ -160,13 +155,16 @@ def minimize(*args, **kwargs):
 def _minimize_component(
     pos: np.ndarray, dmat: np.ndarray, params: LayoutParams
 ) -> tuple[np.ndarray, int, bool, list[float]]:
-    """L-BFGS-B over all coordinates of one component, from ``pos``.
+    """L-BFGS-B over all coordinates of one component, from ``pos``, in units
+    of the component's mean graph distance (stress is the same in any unit).
 
     Returns (coordinates, iterations, converged, stress trace); the trace
     starts at the stress of ``pos`` and adds one entry per accepted iteration.
     """
     m = pos.shape[0]
-    objective = stress_objective(dmat, params.scale)
+    unit = float(dmat.sum()) / (m * (m - 1))  # every pair of a component is finite
+    objective = stress_objective(dmat / unit, params.scale)
+    pos = pos / unit
     trace = [objective(pos)[0]]
 
     def record(intermediate_result) -> None:
@@ -188,7 +186,7 @@ def _minimize_component(
     )
     out = result.x.reshape(m, 2)
     norms = np.sqrt((objective(out)[1].reshape(m, 2) ** 2).sum(axis=1))
-    return out, int(result.nit), bool((norms < params.tolerance).all()), trace
+    return out * unit, int(result.nit), bool((norms < params.tolerance).all()), trace
 
 
 def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
@@ -199,9 +197,10 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     A component is solved by L-BFGS-B over all of its coordinates at once,
     for at most ``params.max_iterations`` iterations. ``iterations`` sums the
     accepted L-BFGS-B iterations over components. ``converged`` means every
-    vertex's stress-gradient norm ended below ``params.tolerance``; a budget
-    used up, or a solver stopped by float precision first, leaves it false
-    and is never raised.
+    vertex's stress-gradient norm ended below ``params.tolerance``, in units
+    of the component's mean graph distance (so multiplying every edge weight
+    by one constant gives the same map); a budget used up, or a solver
+    stopped by float precision first, leaves it false and is never raised.
     """
     if net.n_vertices == 0:
         raise ValueError("cannot lay out an empty network")

@@ -9,6 +9,7 @@ order is canonical: weight descending, ties by label.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -106,19 +107,19 @@ def build_network(idx: OccurrenceIndex) -> CoNetwork:
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
 
 
+def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:
+    """The subnetwork on the ascending vertex indices ``keep``, renumbered in that order."""
+    remap = {old: new for new, old in enumerate(keep)}
+    weights = None if net.weights is None else tuple(net.weights[i] for i in keep)
+    edges = tuple((remap[i], remap[j], c) for i, j, c in net.edges if i in remap and j in remap)
+    return CoNetwork(tuple(net.labels[i] for i in keep), weights, edges)
+
+
 def threshold_filter(net: CoNetwork, min_occ: int) -> CoNetwork:
     """Keep vertices with weight >= min_occ and the edges between survivors."""
     if min_occ < 1:
         raise ValueError(f"min_occ must be >= 1, got {min_occ}")
-    weights = net.require_weights()
-    keep = [i for i, w in enumerate(weights) if w >= min_occ]
-    remap = {old: new for new, old in enumerate(keep)}
-    labels = tuple(net.labels[i] for i in keep)
-    new_weights = tuple(weights[i] for i in keep)
-    edges = tuple(
-        (remap[i], remap[j], c) for i, j, c in net.edges if i in remap and j in remap
-    )
-    return CoNetwork(labels, new_weights, edges)
+    return _induced(net, [i for i, w in enumerate(net.require_weights()) if w >= min_occ])
 
 
 def edge_query(net: CoNetwork, descriptor: str) -> list[tuple[str, str, int]]:
@@ -135,6 +136,17 @@ def edge_query(net: CoNetwork, descriptor: str) -> list[tuple[str, str, int]]:
     return [(descriptor, partner, c) for partner, c in rows]
 
 
+def edge_matrix(net: CoNetwork, values: float | Sequence[float], fill: float = 0.0) -> np.ndarray:
+    """Symmetric n x n matrix: ``values`` (one per edge, or one for all) at
+    both ends of each edge, 0 on the diagonal and ``fill`` elsewhere."""
+    m = np.full((net.n_vertices, net.n_vertices), fill)
+    np.fill_diagonal(m, 0.0)
+    if net.edges:
+        i, j, _ = zip(*net.edges)
+        m[i, j] = m[j, i] = values
+    return m
+
+
 def association_strength(net: CoNetwork) -> np.ndarray:
     """Similarity matrix s_ij = c_ij / (w_i * w_j); zero diagonal, symmetric.
 
@@ -144,29 +156,20 @@ def association_strength(net: CoNetwork) -> np.ndarray:
     weights = np.asarray(net.require_weights(), dtype=np.float64)
     if (weights <= 0).any():
         raise ValueError("association strength needs positive occurrence weights")
-    s = np.zeros((net.n_vertices, net.n_vertices))
-    for i, j, c in net.edges:
-        s[i, j] = s[j, i] = c / (weights[i] * weights[j])
+    s = edge_matrix(net, [c / (weights[i] * weights[j]) for i, j, c in net.edges])
     s.flags.writeable = False
     return s
 
 
 def raw_weight_matrix(net: CoNetwork) -> np.ndarray:
-    w = np.zeros((net.n_vertices, net.n_vertices))
-    for i, j, c in net.edges:
-        w[i, j] = w[j, i] = float(c)
+    w = edge_matrix(net, [c for _, _, c in net.edges])
     w.flags.writeable = False
     return w
 
 
 def hop_distance_matrix(net: CoNetwork) -> np.ndarray:
     """Unweighted shortest-path hop counts; np.inf across components."""
-    n = net.n_vertices
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for i, j, _ in net.edges:
-        d[i, j] = d[j, i] = 1.0
-    return _kernels.floyd_warshall(d)
+    return _kernels.floyd_warshall(edge_matrix(net, 1.0, np.inf))
 
 
 def connected_components(net: CoNetwork) -> tuple[tuple[int, ...], ...]:
@@ -197,16 +200,7 @@ def connected_components(net: CoNetwork) -> tuple[tuple[int, ...], ...]:
 
 def component_subnetworks(net: CoNetwork) -> list[tuple[tuple[int, ...], CoNetwork]]:
     """(original indices, subnetwork) per component, preserving vertex order."""
-    out = []
-    for comp in connected_components(net):
-        remap = {old: new for new, old in enumerate(comp)}
-        labels = tuple(net.labels[i] for i in comp)
-        weights = None if net.weights is None else tuple(net.weights[i] for i in comp)
-        edges = tuple(
-            (remap[i], remap[j], c) for i, j, c in net.edges if i in remap and j in remap
-        )
-        out.append((comp, CoNetwork(labels, weights, edges)))
-    return out
+    return [(comp, _induced(net, comp)) for comp in connected_components(net)]
 
 
 def network_metrics(net: CoNetwork) -> NetworkMetrics:

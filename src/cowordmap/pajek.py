@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .clusters import ClusterPartition
-from .errors import InputError, artifact_writer
+from .errors import InputError, artifact_reader, artifact_writer
 from .layout import LayoutMap
 from .network import CoNetwork
 
@@ -84,10 +84,8 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
     vertex carries them.
     """
     path = Path(path)
-    try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    with artifact_reader(path) as fh:
+        raw_lines = fh.read().splitlines()
 
     lines = [(no, line) for no, line in enumerate(raw_lines, start=1) if line.strip()]
     if not lines:
@@ -171,11 +169,8 @@ def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
 def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     """Cluster ids (dense 1..k) of a partition file that must cover exactly ``n`` vertices."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
+    with artifact_reader(path) as fh:
+        lines = [l.strip() for l in fh.read().splitlines() if l.strip()]
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise InputError(f"{path}: not a Pajek partition file")
     body = lines[1:]

@@ -34,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
-from .errors import InputError, StageError, artifact_writer
+from .errors import InputError, StageError, artifact_reader, artifact_writer
 from .layout import LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, threshold_filter
 from .pajek import read_pajek_clu, read_pajek_net, representable, write_pajek_clu, write_pajek_net
@@ -98,8 +98,8 @@ def default_scheme_path(which: str) -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    records: Path | None  # read only by ingest
-    out_dir: Path
+    records: Path | None = None  # read only by ingest
+    out_dir: Path = Path("out")
     mapping: Path | None = None
     scheme_a: Path | None = None
     scheme_b: Path | None = None
@@ -148,25 +148,6 @@ def parse_windows(text: str) -> tuple[PeriodWindow, ...]:
     return tuple(windows)
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Line-oriented ``key = value`` file; '#' comments and blanks ignored."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise InputError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        values[key.strip()] = value.strip()
-    return values
-
-
 # --- stage plumbing ---------------------------------------------------------
 
 
@@ -207,20 +188,33 @@ def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
     return config.out_dir / f"period_{window.start_year}_{window.end_year}.net"
 
 
-def _csv_rows(path: Path):
-    """The rows of a CSV artifact below its header."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            yield from reader
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _count(text: str) -> int:
+    """A count field of a CSV artifact: a positive integer."""
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise ValueError(f"expected a positive integer count, got {text!r}")
+    return value
+
+
+def _csv_rows(path: Path, *types: Callable[[str], object]):
+    """The rows of a CSV artifact below its header, one field per type, each
+    converted by its type; a row that does not fit names its file and line."""
+    with artifact_reader(path) as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if len(row) != len(types):
+                raise InputError(f"{path}:{reader.line_num}: expected {len(types)} fields, got {len(row)}")
+            try:
+                fields = tuple(convert(cell) for convert, cell in zip(types, row))
+            except ValueError as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+            yield fields
 
 
 def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
     per_record: dict[str, set[str]] = {}
-    for record_id, descriptor in _csv_rows(path):
+    for record_id, descriptor in _csv_rows(path, str, str):
         per_record.setdefault(record_id, set()).add(descriptor)
     return {rid: frozenset(s) for rid, s in per_record.items()}
 
@@ -234,8 +228,16 @@ def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
 def _read_network(config: RunConfig) -> CoNetwork:
     vpath = _require(config.out_dir / VERTICES_FILE, "net")
     epath = _require(config.out_dir / EDGES_FILE, "net")
-    vertices = [(label, int(count)) for label, count in _csv_rows(vpath)]
-    return make_network(vertices, [(a, b, int(w)) for a, b, w in _csv_rows(epath)])
+    vertices = list(_csv_rows(vpath, str, _count))
+    edges = list(_csv_rows(epath, str, str, _count))
+    if not vertices:
+        raise InputError("thresholded network is empty; lower --min-occ")
+    try:
+        return make_network(vertices, edges)
+    except KeyError as exc:
+        raise InputError(f"{epath}: edge end {exc} is not a vertex of {vpath}") from None
+    except ValueError as exc:
+        raise InputError(f"{vpath}, {epath}: {exc}") from None
 
 
 # --- stages ------------------------------------------------------------------
@@ -362,8 +364,6 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
 
 def stage_cluster(config: RunConfig) -> dict:
     net = _read_network(config)
-    if net.n_vertices == 0:
-        raise InputError("thresholded network is empty; lower --min-occ")
     partition = detect_clusters(net, config.resolution, config.use_similarity)
     write_pajek_clu(partition, config.out_dir / CLU_FILE)
     freq = list(zip(net.labels, net.require_weights()))
@@ -373,8 +373,6 @@ def stage_cluster(config: RunConfig) -> dict:
 
 def stage_layout(config: RunConfig) -> dict:
     net = _read_network(config)
-    if net.n_vertices == 0:
-        raise InputError("thresholded network is empty; lower --min-occ")
     layout = layout_network(net, config.layout)
     write_pajek_net(net, layout, config.out_dir / NET_FILE)
     return {
@@ -393,7 +391,7 @@ def stage_export(config: RunConfig) -> dict:
     assignment = read_pajek_clu(clu_path, net.n_vertices)
     partition = ClusterPartition(assignment, 0.0)
     vertices = _require(config.out_dir / VERTICES_FILE, "net")
-    freq = {label: int(count) for label, count in _csv_rows(vertices)}
+    freq = dict(_csv_rows(vertices, str, _count))
     write_label_map_svg(net, layout, partition, freq, config.out_dir / SVG_FILE, config.svg)
     return {"files": [SVG_FILE]}
 

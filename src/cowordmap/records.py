@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, artifact_writer
+from .errors import InputError, artifact_reader, artifact_writer, content_lines
 
 DEFAULT_YEAR_RANGE = (2001, 2012)
 
@@ -86,14 +86,7 @@ def load_scheme(path: str | Path, name: str | None = None) -> ClassScheme:
     """Read a scheme file: one label per line, ``#`` comments, blanks ignored."""
     path = Path(path)
     labels = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read scheme file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path, "scheme file "):
         if line in labels:
             raise InputError(f"{path}:{lineno}: duplicate label '{line}'")
         labels.append(line)
@@ -113,14 +106,9 @@ def parse_records(
     """
     path = Path(path)
     scheme_a, scheme_b = schemes
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read records file {path}: {exc}") from exc
-
     records: list[Record] = []
     seen: dict[str, int] = {}
-    with fh:
+    with artifact_reader(path, "records file ") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

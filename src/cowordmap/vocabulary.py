@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
-from .records import RecordSet
+from .errors import InputError, content_lines
+from .records import RecordSet, percent_round_half_up
 
 
 def match_key(raw: str) -> str:
@@ -70,17 +70,9 @@ def load_mapping(path: str | Path) -> MappingTable:
     to something else is therefore rejected.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read mapping file {path}: {exc}") from exc
-
     entries: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(path, "mapping file "):
         raw, sep, canonical = stripped.partition("->")
         if not sep:
             raise InputError(f"{path}:{lineno}: expected 'raw -> canonical', got {stripped!r}")
@@ -156,7 +148,5 @@ def coverage_stats(idx: OccurrenceIndex, min_occ: int) -> CoverageStats:
     total_occ = sum(idx.totals.values())
     retained = {d: c for d, c in idx.totals.items() if c >= min_occ}
     retained_occ = sum(retained.values())
-    if total_occ == 0:
-        return CoverageStats(total_desc, 0, len(retained), 0, 0, no_occurrences=True)
-    percent = (200 * retained_occ + total_occ) // (2 * total_occ)
-    return CoverageStats(total_desc, total_occ, len(retained), retained_occ, percent)
+    return CoverageStats(total_desc, total_occ, len(retained), retained_occ,
+                         percent_round_half_up(retained_occ, total_occ), no_occurrences=total_occ == 0)

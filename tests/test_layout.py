@@ -19,7 +19,7 @@ from cowordmap.layout import (
     stress_gradient,
     stress_objective,
 )
-from cowordmap.network import component_subnetworks, make_network, threshold_filter
+from cowordmap.network import CoNetwork, component_subnetworks, make_network, threshold_filter
 
 
 def full_distance_matrix(net):
@@ -246,6 +246,18 @@ def test_budget_exhaustion_is_flagged():
     lm = kamada_kawai(net, LayoutParams(tolerance=1e-12, max_iterations=1))
     assert not lm.converged
     assert lm.iterations <= 1
+
+
+@pytest.mark.parametrize("factor", [1_000, 10_000])
+def test_layout_is_invariant_to_edge_weight_scale(fixture_network, factor):
+    # each component is solved in units of its mean graph distance, so weights
+    # as heavy as a 20,000-record corpus's draw the map of light ones
+    net = threshold_filter(fixture_network, 2)
+    heavy = CoNetwork(net.labels, tuple(w * factor for w in net.weights),
+                      tuple((i, j, c * factor) for i, j, c in net.edges))
+    light, scaled = layout_network(net), layout_network(heavy)
+    assert light.converged and scaled.converged
+    assert np.abs(scaled.coords - light.coords).max() < 1e-9
 
 
 def test_params_validation():

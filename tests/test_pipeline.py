@@ -526,3 +526,63 @@ def test_start_up_does_not_import_scipy_optimize():
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
         assert "cowordmap.layout" in imported
         assert "scipy.optimize" not in imported, argv
+
+
+@pytest.mark.parametrize("name", ["records.csv", "mapping.txt", "scheme_a.txt", "run.cfg", "vertices.csv"])
+def test_cli_non_utf8_input_exit_one(tmp_path, capsys, name):
+    inputs = {"records.csv": RECORDS_CSV, "mapping.txt": MAPPING_TXT,
+              "scheme_a.txt": pipeline.default_scheme_path("a")}
+    for file_name, source in inputs.items():
+        (tmp_path / file_name).write_bytes(source.read_bytes())
+    (tmp_path / "run.cfg").write_text("windows = 2001-2006,2007-2012\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--records", str(tmp_path / "records.csv"), "--mapping", str(tmp_path / "mapping.txt"),
+            "--scheme-a", str(tmp_path / "scheme_a.txt"), "--config", str(tmp_path / "run.cfg"),
+            "--out", str(out)]
+    command = "run"
+    if name == "vertices.csv":  # an artifact of a prior stage, read by cluster
+        assert main(["run", *args]) == 0
+        command = "cluster"
+    bad = out / name if name == "vertices.csv" else tmp_path / name
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    capsys.readouterr()
+    code = main([command, *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "cannot read " in err and f"{bad}: not UTF-8 text (byte 0xff" in err
+    assert "Traceback" not in err
+
+
+def test_cli_unknown_config_key_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a misspelt key\nmin_occurence = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--records", str(RECORDS_CSV), "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{cfg}:2: unknown config key 'min_occurence'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, row, stage", [
+    ("edges.csv", "nope,zzz,3", "layout"),
+    ("vertices.csv", "foo,abc", "cluster"),
+    ("vertices.csv", "Portugal,0", "cluster"),
+    ("descriptors.csv", "r1", "net"),
+])
+def test_cli_malformed_artifact_row_exit_one(tmp_path, capsys, name, row, stage):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines) + row + "\n", encoding="utf-8")
+    code = main([stage, "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                 "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"stage '{stage}'" in err and "Traceback" not in err
+    if name == "edges.csv":  # an unknown endpoint: the two files disagree
+        assert f"{path}: edge end 'nope' is not a vertex of {out / 'vertices.csv'}" in err
+    else:
+        assert f"{path}:{len(lines) + 1}: " in err

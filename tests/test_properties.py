@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cowordmap.cli import main
 from cowordmap.clusters import ClusterPartition, detect_clusters, modularity
 from cowordmap.network import (
     association_strength,
@@ -15,6 +20,7 @@ from cowordmap.network import (
 )
 from cowordmap.pajek import format_pajek_net, read_pajek_net
 from cowordmap.records import (
+    RECORDS_HEADER,
     ClassScheme,
     PeriodWindow,
     Record,
@@ -251,3 +257,38 @@ def test_pajek_serialization_fixed_point(tmp_path_factory, idx):
     again, _ = read_pajek_net(path)
     assert format_pajek_net(again) == format_pajek_net(net)
     assert again.labels == net.labels and again.edges == net.edges
+
+
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def records_files(draw):
+    """Bytes of a records file of arbitrary ids, sources, titles and
+    keywords, with a byte that is never UTF-8 inserted into some of them."""
+    rows = draw(st.lists(st.tuples(_any_text, _any_text, st.integers(2001, 2012), _any_text,
+                                   st.lists(_any_text, max_size=4)), min_size=1, max_size=6))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RECORDS_HEADER)
+    for rid, source, year, title, keywords in rows:
+        writer.writerow([rid, source, year, title, "", "", "; ".join(keywords)])
+    data = out.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(data=records_files())
+def test_cli_run_on_any_records_exits_zero_or_one(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("any_records")
+    records = work / "records.csv"
+    records.write_bytes(data)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["run", "--records", str(records), "--out", str(work / "out"), "--min-occ", "1",
+                     "--windows", "2001-2006,2007-2012"])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
