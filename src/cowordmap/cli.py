@@ -107,7 +107,8 @@ OPTIONS = (
     Option("--layout-scale", "layout_scale", "layout.scale", float, "ideal edge display length"),
     Option("--layout-tolerance", "layout_tolerance", "layout.tolerance", float,
            "gradient tolerance, in units of a component's mean graph distance"),
-    Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int, "layout iteration budget"),
+    Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int,
+           "trust-region Newton iterations allowed per component, rejected steps included"),
     Option("--svg-size", "svg_size", "svg.size", int, "SVG viewport size in px"),
     Option("--edge-floor", "edge_weight_floor", "svg.edge_weight_floor", int, "hide SVG edges below this weight"),
 )

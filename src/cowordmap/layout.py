@@ -7,15 +7,17 @@ their shortest-path distance. Stress is
     E = sum_{i<j} (|p_i - p_j| - scale * d_ij)^2 / d_ij^2
 
 minimized per connected component over all of its coordinates at once by
-L-BFGS-B. ``stress_objective`` is the one implementation of E: built once
-per component, with every term that depends only on the distances
-precomputed, it returns E and its analytic gradient from a single pass over
-the pair matrix. ``stress`` and ``stress_gradient`` are thin wrappers over
-it. Each component is solved in units of its mean graph distance, which
-is also the unit of ``LayoutParams.tolerance``. scipy's optimizer is
-imported by the first layout, not at start-up.
-Initialization is a circle in canonical vertex order, so runs are
-reproducible without a seed.
+trust-region Newton (scipy's ``trust-ncg``, Steihaug's truncated conjugate
+gradient) with the analytic Hessian. ``stress_objective`` is the one
+implementation of E: built once per component, with every term that depends
+only on the distances precomputed, it returns E and its analytic gradient
+from a single pass over the pair matrix; ``stress_hessian`` is built the same
+way. ``stress`` and ``stress_gradient`` are thin wrappers over the objective.
+Each component is solved in units of its mean graph distance, which is also
+the unit of ``LayoutParams.tolerance``. scipy's optimizer is imported by the
+first layout, not at start-up.
+Each component starts from its classical-MDS layout, turned to match a
+circle in canonical vertex order, so runs are reproducible without a seed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ class LayoutMap:
     Raw optimizer output keeps display units (``normalized=False``);
     ``layout_network`` returns unit-square coordinates. ``final_stress``
     always refers to the optimizer's coordinate frame. ``stress_history``
-    holds one non-increasing trace per component when present.
+    holds one non-increasing trace per component when present: the stress of
+    the classical-MDS start, then one entry per Newton iteration, where a
+    rejected step repeats the value before it.
     """
 
     coords: np.ndarray
@@ -135,6 +139,49 @@ def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], t
     return objective
 
 
+def stress_hessian(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """One component's stress Hessian as a function of its coordinates.
+
+    Built like ``stress_objective``: the distance-only terms are computed
+    once. The returned function maps coordinates (``(m, 2)`` or flat) to the
+    dense ``(2m, 2m)`` Hessian over ``x0, y0, x1, ...``. With ``w = 2/d^2``,
+    ``t = scale d`` and ``delta = p_i - p_j``, pair i, j adds the block
+    ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal blocks of i and
+    j and subtracts it from their two off-diagonal blocks; pairs at infinite
+    graph distance add nothing. Each call returns a fresh array, because the
+    trust-region solver keeps the models of two points at once.
+    """
+    m = dmat.shape[0]
+    finite = np.isfinite(dmat)
+    np.fill_diagonal(finite, False)
+    d = np.where(finite, dmat, 1.0)
+    weight = np.where(finite, 2.0 / (d * d), 0.0)
+    weight_target = weight * scale * d
+    idx = np.arange(m)
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        p = np.asarray(x, dtype=np.float64).reshape(m, 2)
+        dx = np.subtract.outer(p[:, 0], p[:, 0])
+        dy = np.subtract.outer(p[:, 1], p[:, 1])
+        inv_r = 1.0 / np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
+        iso = weight - weight_target * inv_r
+        outer = weight_target * inv_r**3
+        xx = iso + outer * dx * dx
+        xy = outer * dx * dy
+        yy = iso + outer * dy * dy
+        h = np.empty((m, 2, m, 2))
+        np.negative(xx, out=h[:, 0, :, 0])
+        np.negative(xy, out=h[:, 0, :, 1])
+        np.negative(xy, out=h[:, 1, :, 0])
+        np.negative(yy, out=h[:, 1, :, 1])
+        h[idx, 0, idx, 0] = xx.sum(axis=1)
+        h[idx, 0, idx, 1] = h[idx, 1, idx, 0] = xy.sum(axis=1)
+        h[idx, 1, idx, 1] = yy.sum(axis=1)
+        return h.reshape(2 * m, 2 * m)
+
+    return hessian
+
+
 def stress(coords: np.ndarray, dmat: np.ndarray, scale: float) -> float:
     """Total stress; pairs at infinite graph distance contribute nothing."""
     return stress_objective(dmat, scale)(coords)[0]
@@ -152,19 +199,42 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _minimize_component(
-    pos: np.ndarray, dmat: np.ndarray, params: LayoutParams
-) -> tuple[np.ndarray, int, bool, list[float]]:
-    """L-BFGS-B over all coordinates of one component, from ``pos``, in units
-    of the component's mean graph distance (stress is the same in any unit).
+def classical_mds(dmat: np.ndarray) -> np.ndarray:
+    """Classical (Torgerson) MDS of one component's finite distances, in 2-D.
+
+    The top two eigenvectors of the double-centred squared distances, turned
+    (an orthogonal Procrustes fit) to best match the unit circle in canonical
+    vertex order, which fixes the eigenvectors' signs and the rotation of a
+    degenerate eigenspace. ``0.01 x`` that circle is then added, so vertices
+    with the same distances to all others (a hub's equal leaves) do not start
+    on one point, where the stress gradient could never separate them.
+    """
+    m = dmat.shape[0]
+    sq = dmat * dmat
+    centred = sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean()
+    values, vectors = np.linalg.eigh(-0.5 * centred)
+    mds = vectors[:, -1:-3:-1] * np.sqrt(np.maximum(values[-1:-3:-1], 0.0))
+    angles = 2.0 * np.pi * np.arange(m) / m
+    circle = np.column_stack((np.cos(angles), np.sin(angles)))
+    u, _, vt = np.linalg.svd(mds.T @ circle)
+    return mds @ (u @ vt) + 0.01 * circle
+
+
+def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, bool, list[float]]:
+    """Trust-region Newton (scipy's ``trust-ncg``, with the analytic Hessian)
+    over all coordinates of one component, from its classical-MDS layout, in
+    units of the component's mean graph distance (stress is the same in any
+    unit).
 
     Returns (coordinates, iterations, converged, stress trace); the trace
-    starts at the stress of ``pos`` and adds one entry per accepted iteration.
+    starts at the stress of the start and adds one entry per iteration, a
+    rejected step repeating the value before it.
     """
-    m = pos.shape[0]
+    m = dmat.shape[0]
     unit = float(dmat.sum()) / (m * (m - 1))  # every pair of a component is finite
-    objective = stress_objective(dmat / unit, params.scale)
-    pos = pos / unit
+    scaled = dmat / unit
+    objective = stress_objective(scaled, params.scale)
+    pos = params.scale * classical_mds(scaled)
     trace = [objective(pos)[0]]
 
     def record(intermediate_result) -> None:
@@ -173,16 +243,12 @@ def _minimize_component(
     result = minimize(
         objective,
         pos.ravel(),
-        method="L-BFGS-B",
+        method="trust-ncg",
         jac=True,
+        hess=stress_hessian(scaled, params.scale),
         callback=record,
-        # gtol bounds each coordinate; tolerance / sqrt(2) per axis keeps
-        # each vertex's gradient norm below tolerance
-        options={
-            "maxiter": params.max_iterations,
-            "ftol": 0.0,
-            "gtol": params.tolerance / np.sqrt(2.0),
-        },
+        # the whole gradient's norm bounds each vertex's gradient norm
+        options={"maxiter": params.max_iterations, "gtol": params.tolerance},
     )
     out = result.x.reshape(m, 2)
     norms = np.sqrt((objective(out)[1].reshape(m, 2) ** 2).sum(axis=1))
@@ -192,15 +258,19 @@ def _minimize_component(
 def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
     """Stress-minimize every component independently; coordinates stay raw.
 
-    Each component starts on a circle around its own origin, so components of
-    a disconnected network overlap until ``pack_components`` arranges them.
-    A component is solved by L-BFGS-B over all of its coordinates at once,
-    for at most ``params.max_iterations`` iterations. ``iterations`` sums the
-    accepted L-BFGS-B iterations over components. ``converged`` means every
-    vertex's stress-gradient norm ended below ``params.tolerance``, in units
-    of the component's mean graph distance (so multiplying every edge weight
-    by one constant gives the same map); a budget used up, or a solver
-    stopped by float precision first, leaves it false and is never raised.
+    Each component starts from its classical-MDS layout (``classical_mds``)
+    around its own origin, so components of a disconnected network overlap
+    until ``pack_components`` arranges them. A component is solved by
+    trust-region Newton over all of its coordinates at once, for at most
+    ``params.max_iterations`` iterations. ``iterations`` sums the Newton
+    iterations over components, rejected steps included. ``converged`` means
+    every vertex's stress-gradient norm ended below ``params.tolerance``, in
+    units of the component's mean graph distance (so multiplying every edge
+    weight by one constant gives the same map, up to the limit that
+    ``classical_mds`` cannot fix: a component whose top MDS eigenvalue has
+    multiplicity above two, such as a hub with four or more equal leaves,
+    may come out rotated); a budget used up, or a solver stopped by float
+    precision first, leaves it false and is never raised.
     """
     if net.n_vertices == 0:
         raise ValueError("cannot lay out an empty network")
@@ -210,14 +280,10 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     iterations = 0
     converged = True
     for comp, dmat in graph_distances(net):
-        m = len(comp)
-        if m == 1:
+        if len(comp) == 1:
             histories.append((0.0,))
             continue
-        radius = params.scale * float(dmat.max()) / 2.0
-        angles = 2.0 * np.pi * np.arange(m) / m
-        circle = np.column_stack((radius * np.cos(angles), radius * np.sin(angles)))
-        pos, it, conv, trace = _minimize_component(circle, dmat, params)
+        pos, it, conv, trace = _minimize_component(dmat, params)
         for local, orig in enumerate(comp):
             coords[orig] = pos[local]
         histories.append(tuple(trace))

@@ -43,6 +43,7 @@ from .records import (
     ClassScheme,
     PeriodWindow,
     RecordSet,
+    check_disjoint,
     class_crosstab,
     class_distribution,
     filter_records,
@@ -118,6 +119,7 @@ class RunConfig:
             raise ValueError(f"min_occurrences must be >= 1, got {self.min_occurrences}")
         if not self.resolution > 0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
+        check_disjoint(self.windows)
 
     def scheme_a_path(self) -> Path:
         return self.scheme_a or default_scheme_path("a")

@@ -178,16 +178,21 @@ def filter_records(
     ))
 
 
+def check_disjoint(windows: tuple[PeriodWindow, ...] | list[PeriodWindow]) -> None:
+    """Raise InputError naming the first two windows that share a year."""
+    for i, a in enumerate(windows):
+        for b in windows[i + 1 :]:
+            if a.overlaps(b):
+                raise InputError(f"windows {a.label} and {b.label} overlap")
+
+
 def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]:
     """One RecordSet per window; records outside every window are dropped.
 
     Windows must be pairwise disjoint, so each record lands in at most one
     output.
     """
-    for i, a in enumerate(windows):
-        for b in windows[i + 1 :]:
-            if a.overlaps(b):
-                raise InputError(f"windows {a.label} and {b.label} overlap")
+    check_disjoint(windows)
     buckets: list[list[Record]] = [[] for _ in windows]
     for r in rs:
         for i, w in enumerate(windows):

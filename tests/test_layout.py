@@ -17,6 +17,7 @@ from cowordmap.layout import (
     pack_components,
     stress,
     stress_gradient,
+    stress_hessian,
     stress_objective,
 )
 from cowordmap.network import CoNetwork, component_subnetworks, make_network, threshold_filter
@@ -146,6 +147,70 @@ def test_objective_over_components_is_sum_of_parts():
     assert value == pytest.approx(total, rel=1e-12)
     assert grad[6].tolist() == [0.0, 0.0]
     assert not np.signbit(grad[grad == 0.0]).any()
+
+
+def test_hessian_matches_central_differences_of_gradient():
+    # two components with interleaved vertices plus an isolated vertex, as in
+    # the test above: pairs at infinite distance must add nothing
+    rng = np.random.default_rng(47)
+    parts = [[0, 2, 4, 7], [1, 3, 5, 8, 9], [6]]
+    n = 10
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for part in parts[:2]:
+        d[np.ix_(part, part)] = full_distance_matrix(connected_random_network(rng, len(part)))
+    pos = random_positions(rng, n)
+    objective, hessian = stress_objective(d, 1.5), stress_hessian(d, 1.5)
+    h = hessian(pos)
+    assert h.shape == (2 * n, 2 * n)
+    assert np.array_equal(h, h.T)
+    x, step = pos.ravel(), 1e-6
+    fd = np.empty((2 * n, 2 * n))
+    for k in range(2 * n):
+        e = np.zeros(2 * n)
+        e[k] = step
+        fd[:, k] = (objective(x + e)[1] - objective(x - e)[1]) / (2 * step)
+    assert np.linalg.norm(h - fd) / np.linalg.norm(fd) < 1e-6
+    for part in parts:
+        rows = [2 * i + a for i in part for a in (0, 1)]
+        sub = stress_hessian(d[np.ix_(part, part)], 1.5)(pos[part])
+        np.testing.assert_allclose(h[np.ix_(rows, rows)], sub, rtol=1e-12, atol=1e-15)
+        others = [k for k in range(2 * n) if k not in rows]
+        assert not h[np.ix_(rows, others)].any()
+    # a fresh array per call: a later call leaves an earlier result alone
+    before = h.copy()
+    hessian(random_positions(rng, n))
+    assert np.array_equal(h, before)
+
+
+def test_hub_with_equal_leaves_spreads_them_around_it():
+    # the leaves' distance rows make a three-fold MDS eigenspace; a start
+    # that puts two leaves on one ray leaves them there, at a saddle
+    star = make_network([("hub", 9)] + [(f"leaf{i}", 2) for i in range(4)],
+                        [("hub", f"leaf{i}", 1) for i in range(4)])
+    lm = kamada_kawai(star)
+    assert lm.converged
+    hub = lm.coords[star.index_of("hub")]
+    leaves = lm.coords[[star.index_of(f"leaf{i}") for i in range(4)]]
+    radii = np.linalg.norm(leaves - hub, axis=1)
+    np.testing.assert_allclose(radii, radii[0], rtol=1e-4)
+    gaps = [np.linalg.norm(leaves[a] - leaves[b]) for a in range(4) for b in range(a + 1, 4)]
+    assert min(gaps) > np.sqrt(2.0) * radii[0] * (1 - 1e-4)  # the corners of a square
+
+
+@pytest.mark.parametrize("factor", [1_000, 10_000])
+def test_cycle_layout_is_invariant_to_edge_weight_scale(factor):
+    # a 6-cycle's top MDS eigenvalue is double, so its eigenvectors may turn
+    # within their plane when every distance is rounded differently
+    labels = [f"v{i}" for i in range(6)]
+
+    def cycle(f):
+        return make_network([(label, 2 * f) for label in labels],
+                            [(labels[i], labels[(i + 1) % 6], f) for i in range(6)])
+
+    light, heavy = layout_network(cycle(1)), layout_network(cycle(factor))
+    assert light.converged and heavy.converged
+    assert np.abs(heavy.coords - light.coords).max() < 1e-9
 
 
 def test_two_vertices_reach_exact_separation():

@@ -565,6 +565,16 @@ def test_cli_unknown_config_key_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_overlapping_windows_exit_one_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--records", str(RECORDS_CSV), "--out", str(out), "--windows", "2001-2006,2005-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "--windows" in err and "2001-2006" in err and "2005-2012" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, row, stage", [
     ("edges.csv", "nope,zzz,3", "layout"),
     ("vertices.csv", "foo,abc", "cluster"),
