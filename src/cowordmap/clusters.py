@@ -82,24 +82,33 @@ def modularity(
     return q
 
 
-def _local_moving(b: np.ndarray, gamma: float) -> np.ndarray:
-    """One level of local moving; returns the community id per node.
+MAX_SWEEPS = 100  # a backstop; real networks settle within ten sweeps
 
-    Node v moves to the neighbouring community with the best strictly
-    positive gain; exact ties pick the lowest community id. Sweeps repeat
-    until a full pass makes no move.
+
+def _local_moving(b: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
+    """One level of local moving; returns the community id per node and the
+    number of sweeps made.
+
+    Node v moves to the neighbouring community with the best gain when that
+    beats staying by more than the rounding error of a gain (whose terms are
+    at most ``k_v/m`` and ``gamma k_v/m``), so every move raises modularity and
+    a symmetric tie cannot send v back and forth; ties between communities
+    pick the lowest id. Sweeps repeat until a full pass makes no move, at
+    most ``MAX_SWEEPS`` times; each starts from community totals summed anew.
     """
     n = b.shape[0]
     k = b.sum(axis=1)
     two_m = float(k.sum())
     comm = np.arange(n)
     if two_m == 0.0:
-        return comm
+        return comm, 0
     m = two_m / 2.0
-    sigma = k.astype(float).copy()  # total degree per community id
     moved = True
-    while moved:
+    sweeps = 0
+    while moved and sweeps < MAX_SWEEPS:
         moved = False
+        sweeps += 1
+        sigma = np.bincount(comm, weights=k, minlength=n)  # total degree per community id
         for v in range(n):
             cur = int(comm[v])
             kv = float(k[v])
@@ -107,22 +116,22 @@ def _local_moving(b: np.ndarray, gamma: float) -> np.ndarray:
             row = b[v]
             link = np.bincount(comm, weights=row, minlength=n)
             link[cur] -= row[v]  # exclude the self-loop from "links into cur"
+            stay = link[cur] / m - gamma * sigma[cur] * kv / (2.0 * m * m)
             best_c = cur
-            best_gain = link[cur] / m - gamma * sigma[cur] * kv / (2.0 * m * m)
-            candidates = np.nonzero(link > 0)[0]
-            for c in candidates:
+            best_gain = stay + 1e-12 * (1.0 + gamma) * kv / m
+            for c in np.nonzero(link > 0)[0]:  # ascending, so a tie keeps the lowest id
                 c = int(c)
                 if c == cur:
                     continue
                 gain = link[c] / m - gamma * sigma[c] * kv / (2.0 * m * m)
-                if gain > best_gain or (gain == best_gain and c < best_c):
+                if gain > best_gain:
                     best_gain = gain
                     best_c = c
             comm[v] = best_c
             sigma[best_c] += kv
             if best_c != cur:
                 moved = True
-    return comm
+    return comm, sweeps
 
 
 def _louvain(b: np.ndarray, gamma: float) -> np.ndarray:
@@ -131,7 +140,7 @@ def _louvain(b: np.ndarray, gamma: float) -> np.ndarray:
     assignment = np.arange(n)
     level = b.astype(float).copy()
     while True:
-        comm = _local_moving(level, gamma)
+        comm, _ = _local_moving(level, gamma)
         ids = sorted({int(c) for c in comm})
         if len(ids) == level.shape[0]:
             return assignment

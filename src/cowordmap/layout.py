@@ -7,28 +7,28 @@ their shortest-path distance. Stress is
     E = sum_{i<j} (|p_i - p_j| - scale * d_ij)^2 / d_ij^2
 
 minimized per connected component over all of its coordinates at once by
-trust-region Newton (scipy's ``trust-ncg``, Steihaug's truncated conjugate
-gradient) with the analytic Hessian. ``stress_objective`` is the one
+trust-region Newton (``minimize``: Steihaug's truncated conjugate gradient
+on the dense analytic Hessian, in numpy). ``stress_objective`` is the one
 implementation of E: built once per component, with every term that depends
 only on the distances precomputed, it returns E and its analytic gradient
 from a single pass over the pair matrix; ``stress_hessian`` is built the same
 way. ``stress`` and ``stress_gradient`` are thin wrappers over the objective.
 Each component is solved in units of its mean graph distance, which is also
-the unit of ``LayoutParams.tolerance``. scipy's optimizer is imported by the
-first layout, not at start-up.
+the unit of ``LayoutParams.tolerance``.
 Each component starts from its classical-MDS layout, turned to match a
 circle in canonical vertex order, so runs are reproducible without a seed.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .network import CoNetwork, component_subnetworks, connected_components, edge_matrix
+from .network import CoNetwork, component_subnetworks, edge_matrix
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ class LayoutMap:
     always refers to the optimizer's coordinate frame. ``stress_history``
     holds one non-increasing trace per component when present: the stress of
     the classical-MDS start, then one entry per Newton iteration, where a
-    rejected step repeats the value before it.
+    rejected step repeats the value before it. ``components`` lists the
+    vertex indices of each connected component the optimizer solved apart,
+    in the order of ``stress_history``; it is empty when unknown.
     """
 
     coords: np.ndarray
@@ -64,6 +66,7 @@ class LayoutMap:
     iterations: int = 0
     normalized: bool = False
     stress_history: tuple[tuple[float, ...], ...] | None = None
+    components: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.float64))
@@ -148,8 +151,8 @@ def stress_hessian(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], np.
     ``t = scale d`` and ``delta = p_i - p_j``, pair i, j adds the block
     ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal blocks of i and
     j and subtracts it from their two off-diagonal blocks; pairs at infinite
-    graph distance add nothing. Each call returns a fresh array, because the
-    trust-region solver keeps the models of two points at once.
+    graph distance add nothing. Each call returns a fresh array, so a caller
+    may keep an earlier one.
     """
     m = dmat.shape[0]
     finite = np.isfinite(dmat)
@@ -192,11 +195,95 @@ def stress_gradient(coords: np.ndarray, dmat: np.ndarray, scale: float) -> np.nd
     return stress_objective(dmat, scale)(coords)[1].reshape(-1, 2)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use to keep start-up light."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class Solution:
+    """Where ``minimize`` stopped: point, value and gradient there, and its work."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+
+
+def _model(f: float, g: np.ndarray, h: np.ndarray, p: np.ndarray) -> float:
+    return f + g @ p + 0.5 * (p @ (h @ p))
+
+
+def _to_boundary(z: np.ndarray, d: np.ndarray, radius: float) -> tuple[float, float]:
+    """Both roots t of ``|z + t d| = radius``, low first, in the stable form."""
+    a, b, c = d @ d, 2.0 * (z @ d), z @ z - radius * radius
+    aux = b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b)
+    return tuple(sorted((-aux / (2.0 * a), -2.0 * c / aux)))
+
+
+def _steihaug(f: float, g: np.ndarray, h: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
+    """Truncated CG on the model ``f + g.p + p.H.p / 2`` within ``|p| <= radius``
+    (Steihaug 1983; Nocedal & Wright 2006, Alg. 7.2). Returns (step, on boundary).
+    CG needs at most ``g.size`` steps in exact arithmetic; twenty times that
+    bounds it in floating point.
+    """
+    g_norm = math.sqrt(g @ g)
+    tolerance = min(0.5, math.sqrt(g_norm)) * g_norm
+    z, r, d = np.zeros_like(g), g, -g
+    for _ in range(20 * g.size):
+        hd = h @ d
+        curvature = d @ hd
+        if not curvature > 0:  # negative curvature: the better end of the line
+            pa, pb = (z + t * d for t in _to_boundary(z, d, radius))
+            return (pa if _model(f, g, h, pa) < _model(f, g, h, pb) else pb), True
+        rr = r @ r
+        alpha = rr / curvature
+        z_next = z + alpha * d
+        if math.sqrt(z_next @ z_next) >= radius:
+            return z + _to_boundary(z, d, radius)[1] * d, True
+        r = r + alpha * hd
+        rr_next = r @ r
+        if math.sqrt(rr_next) < tolerance:
+            return z_next, False
+        d = -r + (rr_next / rr) * d
+        z = z_next
+    return z, False
+
+
+def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
+             hessian: Callable[[np.ndarray], np.ndarray], gtol: float, maxiter: int,
+             callback: Callable[[float], None] | None = None) -> Solution:
+    """Trust-region Newton with Steihaug's truncated CG (Nocedal & Wright 2006,
+    Alg. 4.1), with the defaults of scipy's ``trust-ncg``.
+
+    The radius starts at 1 and never exceeds 1000; a step is taken when the
+    actual reduction is above 0.15 of the model's, the radius shrinks by 4
+    below 0.25 and doubles above 0.75 if the step reached it. The Hessian is
+    rebuilt only at a new point. Stops when the gradient norm is below
+    ``gtol``, after ``maxiter`` iterations, or when the model predicts no
+    reduction. ``callback`` gets the value at the current point after every
+    iteration, so a rejected step repeats the value before it.
+    """
+    x = np.array(x0, dtype=np.float64).ravel()
+    f, g = objective(x)
+    nfev, nit, radius, h = 1, 0, 1.0, None
+    while math.sqrt(g @ g) >= gtol and nit < maxiter:
+        if h is None:
+            h = hessian(x)
+        p, on_boundary = _steihaug(f, g, h, radius)
+        predicted = f - _model(f, g, h, p)
+        if not predicted > 0:
+            break
+        x_new = x + p
+        f_new, g_new = objective(x_new)
+        nfev += 1
+        rho = (f - f_new) / predicted
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, 1000.0)
+        if rho > 0.15:
+            x, f, g, h = x_new, f_new, g_new, None
+        nit += 1
+        if callback is not None:
+            callback(f)
+    return Solution(x, f, g, nit, nfev)
 
 
 def classical_mds(dmat: np.ndarray) -> np.ndarray:
@@ -221,8 +308,8 @@ def classical_mds(dmat: np.ndarray) -> np.ndarray:
 
 
 def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, bool, list[float]]:
-    """Trust-region Newton (scipy's ``trust-ncg``, with the analytic Hessian)
-    over all coordinates of one component, from its classical-MDS layout, in
+    """Trust-region Newton (``minimize``, with the analytic Hessian) over all
+    coordinates of one component, from its classical-MDS layout, in
     units of the component's mean graph distance (stress is the same in any
     unit).
 
@@ -237,22 +324,12 @@ def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndar
     pos = params.scale * classical_mds(scaled)
     trace = [objective(pos)[0]]
 
-    def record(intermediate_result) -> None:
-        trace.append(float(intermediate_result.fun))
-
-    result = minimize(
-        objective,
-        pos.ravel(),
-        method="trust-ncg",
-        jac=True,
-        hess=stress_hessian(scaled, params.scale),
-        callback=record,
-        # the whole gradient's norm bounds each vertex's gradient norm
-        options={"maxiter": params.max_iterations, "gtol": params.tolerance},
-    )
+    # the whole gradient's norm bounds each vertex's gradient norm
+    result = minimize(objective, pos, stress_hessian(scaled, params.scale),
+                      params.tolerance, params.max_iterations, callback=trace.append)
     out = result.x.reshape(m, 2)
-    norms = np.sqrt((objective(out)[1].reshape(m, 2) ** 2).sum(axis=1))
-    return out * unit, int(result.nit), bool((norms < params.tolerance).all()), trace
+    norms = np.sqrt((result.jac.reshape(m, 2) ** 2).sum(axis=1))
+    return out * unit, result.nit, bool((norms < params.tolerance).all()), trace
 
 
 def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
@@ -279,7 +356,8 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     total = 0.0
     iterations = 0
     converged = True
-    for comp, dmat in graph_distances(net):
+    distances = graph_distances(net)
+    for comp, dmat in distances:
         if len(comp) == 1:
             histories.append((0.0,))
             continue
@@ -297,6 +375,7 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
         iterations=iterations,
         normalized=False,
         stress_history=tuple(histories),
+        components=tuple(comp for comp, _ in distances),
     )
 
 
@@ -371,7 +450,7 @@ def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Lay
     unit square.
     """
     raw = kamada_kawai(net, params)
-    comps = [list(comp) for comp in connected_components(net)]
+    comps = [list(comp) for comp in raw.components]
     coords = np.zeros((net.n_vertices, 2))
     for comp, packed in zip(comps, pack_components([raw.coords[comp] for comp in comps])):
         coords[comp] = packed

@@ -6,7 +6,9 @@ import pytest
 import oracles
 from conftest import random_network
 from cowordmap.clusters import (
+    MAX_SWEEPS,
     ClusterPartition,
+    _local_moving,
     cluster_summary,
     detect_clusters,
     format_legend,
@@ -171,3 +173,19 @@ def test_cluster_summary_fixture_sizes_sum(fixture_network):
     freq = list(zip(fixture_network.labels, fixture_network.weights))
     rows = cluster_summary(p, freq)
     assert sum(s.size for s in rows) == fixture_network.n_vertices
+
+
+def test_local_moving_stops_on_a_symmetric_tie():
+    # a path of seven vertices, symmetric about its middle one (3): both halves
+    # pull on 3 equally, but rounding makes the half that 3 is not in look
+    # better by about 3e-18, so moving on any positive gain swings 3 from half
+    # to half in every sweep, forever
+    path = [1, 4, 0, 3, 6, 5, 2]
+    b = np.zeros((7, 7))
+    for u, v, w in zip(path, path[1:], [0.7, 1.1, 0.2, 0.2, 1.1, 0.7]):
+        b[u, v] = b[v, u] = w
+    comm, sweeps = _local_moving(b, 0.5)
+    assert sweeps < MAX_SWEEPS
+    left, right = {int(comm[v]) for v in (1, 4, 0)}, {int(comm[v]) for v in (6, 5, 2)}
+    assert len(left) == len(right) == 1 and left != right
+    assert int(comm[3]) in left | right

@@ -13,6 +13,7 @@ from cowordmap.layout import (
     graph_distances,
     kamada_kawai,
     layout_network,
+    minimize,
     normalize_unit_square,
     pack_components,
     stress,
@@ -311,6 +312,80 @@ def test_budget_exhaustion_is_flagged():
     lm = kamada_kawai(net, LayoutParams(tolerance=1e-12, max_iterations=1))
     assert not lm.converged
     assert lm.iterations <= 1
+
+
+def rosenbrock(x):
+    a, b = x
+    return float(100 * (b - a * a) ** 2 + (1 - a) ** 2), np.array([-400 * a * (b - a * a) - 2 * (1 - a), 200 * (b - a * a)])
+
+
+def rosenbrock_hessian(x):
+    a, b = x
+    return np.array([[1200 * a * a - 400 * b + 2, -400 * a], [-400 * a, 200.0]])
+
+
+def hat(x):
+    # -|x|^2/2 + |x|^4/4: every direction curves down near the origin
+    s = x @ x
+    return float(-s / 2 + s * s / 4), (s - 1) * x
+
+
+def hat_hessian(x):
+    return (x @ x - 1) * np.eye(2) + 2 * np.outer(x, x)
+
+
+def test_minimize_reaches_the_minimiser_of_a_convex_quadratic():
+    rng = np.random.default_rng(53)
+    q = rng.standard_normal((6, 6))
+    a = q @ q.T + 6 * np.eye(6)
+    b = 10 * rng.standard_normal(6)
+
+    def objective(x):
+        return float(0.5 * x @ a @ x - b @ x), a @ x - b
+
+    result = minimize(objective, np.zeros(6), lambda x: a.copy(), 1e-6, 100)
+    assert np.linalg.norm(result.jac) < 1e-6
+    assert np.array_equal(result.jac, objective(result.x)[1])
+    np.testing.assert_allclose(result.x, np.linalg.solve(a, b), rtol=0, atol=1e-6)
+    assert result.nit > 1  # the first steps are held to the initial radius
+    assert result.nfev >= result.nit + 1
+
+
+def test_minimize_takes_the_boundary_under_negative_curvature():
+    x0 = np.array([0.1, 0.05])
+    start, g0 = hat(x0)
+    assert np.linalg.eigvalsh(hat_hessian(x0)).max() < 0
+    first = minimize(hat, x0, hat_hessian, 1e-10, 1)
+    step = first.x - x0
+    assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-12)  # the initial radius
+    assert step @ g0 < 0  # the boundary point downhill, not the one behind
+    assert first.fun < start
+    result = minimize(hat, x0, hat_hessian, 1e-10, 100)
+    assert result.fun < start
+    assert result.fun == pytest.approx(-0.25, rel=1e-12)
+    assert result.nfev >= result.nit + 1
+
+
+def test_minimize_stops_at_maxiter_and_the_layout_says_so():
+    result = minimize(rosenbrock, np.array([-1.2, 1.0]), rosenbrock_hessian, 1e-8, 1)
+    assert result.nit == 1
+    assert result.nfev >= result.nit + 1
+    net = connected_random_network(np.random.default_rng(59), 12)
+    lm = kamada_kawai(net, LayoutParams(max_iterations=1))
+    assert lm.iterations == 1
+    assert not lm.converged
+
+
+def test_minimize_repeats_the_value_before_a_rejected_step():
+    x0 = np.array([-1.2, 1.0])
+    trace = [rosenbrock(x0)[0]]
+    result = minimize(rosenbrock, x0, rosenbrock_hessian, 1e-8, 1000, callback=trace.append)
+    assert len(trace) == result.nit + 1
+    assert any(later == earlier for earlier, later in zip(trace, trace[1:]))  # Rosenbrock's valley rejects steps
+    assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+    assert trace[-1] == result.fun
+    np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=0, atol=1e-8)
+    assert result.nfev >= result.nit + 1
 
 
 @pytest.mark.parametrize("factor", [1_000, 10_000])

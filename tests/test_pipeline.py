@@ -528,6 +528,23 @@ def test_start_up_does_not_import_scipy_optimize():
         assert "scipy.optimize" not in imported, argv
 
 
+def test_run_does_not_import_scipy(tmp_path):
+    # the layout's solver is numpy only, so a whole run loads no scipy module
+    import cowordmap
+
+    env = dict(os.environ)
+    package_root = str(Path(cowordmap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    script = ("import sys\nfrom cowordmap import cli\nstatus = cli.main(sys.argv[1:])\n"
+              "print(status, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    argv = ["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+            "--windows", "2001-2006,2007-2012", "--out", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "network.net").exists()
+
+
 @pytest.mark.parametrize("name", ["records.csv", "mapping.txt", "scheme_a.txt", "run.cfg", "vertices.csv"])
 def test_cli_non_utf8_input_exit_one(tmp_path, capsys, name):
     inputs = {"records.csv": RECORDS_CSV, "mapping.txt": MAPPING_TXT,
