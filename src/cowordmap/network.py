@@ -4,14 +4,19 @@ A vertex is a descriptor with its occurrence weight (number of records whose
 descriptor set contains it). An undirected edge (i, j, c) counts the records
 containing both endpoints, so c never exceeds either endpoint weight. Vertex
 order is canonical: weight descending, ties by label.
+
+``build_network`` counts pairs in numpy: the pair (i, j), i < j, of an
+n-vertex network is the int64 code ``i * n + j``, so ascending codes are the
+edges in (i, j) order. The network of disjoint record groups is the sum of
+theirs (``sum_networks``), so a record's pairs are counted once however many
+networks it belongs to.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -95,16 +100,43 @@ def build_network(idx: OccurrenceIndex) -> CoNetwork:
     """Count document-level co-occurrences over per-record descriptor sets.
 
     Each record contributes 1 to every unordered pair of distinct descriptors
-    in its set; order of records does not matter.
+    in its set; order of records does not matter. Descriptors without a
+    positive total are not vertices and pair with nothing. The vertex ids of
+    the m records holding k vertices form an (m, k) int32 array; its pair
+    codes are counted by ``np.unique`` and freed before the next k.
     """
     totals = {d: c for d, c in idx.totals.items() if c > 0}
     labels = canonical_vertex_order(totals)
     index = {t: i for i, t in enumerate(labels)}
-    pair_counts: Counter[tuple[int, int]] = Counter()
+    by_size: dict[int, list[int]] = {}
     for descriptors in idx.per_record.values():
-        pair_counts.update(combinations(sorted(index[d] for d in descriptors if d in index), 2))
-    edges = tuple(sorted((i, j, c) for (i, j), c in pair_counts.items()))
+        ids = [index[d] for d in descriptors if d in index]
+        if len(ids) > 1:
+            by_size.setdefault(len(ids), []).extend(ids)
+    codes, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for k, flat in by_size.items():
+        ids = np.sort(np.array(flat, dtype=np.int32).reshape(-1, k), axis=1)
+        first, second = np.triu_indices(k, 1)
+        group = np.unique(ids[:, first].astype(np.int64) * len(labels) + ids[:, second], return_counts=True)
+        codes.append(group[0])
+        counts.append(group[1])
+    codes, at = np.unique(np.concatenate(codes), return_inverse=True)
+    summed = np.zeros(codes.size, np.int64)
+    np.add.at(summed, at, np.concatenate(counts))
+    i, j = np.divmod(codes, len(labels))
+    edges = tuple(zip(i.tolist(), j.tolist(), summed.tolist()))
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
+
+
+def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
+    """The network of the union of disjoint record groups, from the groups'
+    networks: weights summed by label, edge counts summed by label pair."""
+    totals: Counter[str] = Counter()
+    edges = []
+    for net in nets:
+        totals.update(dict(zip(net.labels, net.require_weights())))
+        edges += [(net.labels[i], net.labels[j], c) for i, j, c in net.edges]
+    return make_network(list(totals.items()), edges)
 
 
 def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:

@@ -14,9 +14,10 @@ net, in memory; net drops both before it counts pairs. A subcommand has no
 state and reads the same data back from records.csv and descriptors.csv, so
 running the stages one by one gives the same bytes as a full run.
 
-Keywords are normalized once, by ``normalize``. ``net`` builds the network,
-and a period network per configured window, from the descriptor sets;
-``compare`` diffs two Pajek files, the period networks by default.
+Keywords are normalized once, by ``normalize``. ``net`` builds a period
+network per configured window from the descriptor sets, and the network as
+the sum of those and of the records outside every window; ``compare`` diffs
+two Pajek files, the period networks by default.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
 from .errors import InputError, StageError, artifact_reader, artifact_writer
 from .layout import LayoutParams, layout_network
-from .network import CoNetwork, build_network, make_network, threshold_filter
+from .network import CoNetwork, build_network, make_network, sum_networks, threshold_filter
 from .pajek import read_pajek_clu, read_pajek_net, representable, write_pajek_clu, write_pajek_net
 from .records import (
     DEFAULT_YEAR_RANGE,
@@ -333,7 +334,9 @@ def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict
 
 def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     """Build the co-occurrence network and apply the frequency threshold; likewise
-    one period network per configured window, from the sets of its records."""
+    one period network per configured window, from the sets of its records.
+    The full network is the sum of the period networks and the network of the
+    records outside every window, so each record's pairs are counted once."""
     sets_path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
     periods = []
     if config.windows:
@@ -345,12 +348,15 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
         state.records = state.sets = None
     if per_record is None:
         per_record = _read_descriptor_sets(sets_path)
-    # the period networks first, so no two unthresholded networks are alive at once
+    nets = []
     for window, ids in zip(config.windows, periods):
-        sets = {rid: per_record[rid] for rid in ids if rid in per_record}
-        period = threshold_filter(_cooccurrence_network(sets), config.min_occurrences)
-        write_pajek_net(period, None, _period_net_path(config, window))
-    full = _cooccurrence_network(per_record)
+        period = _cooccurrence_network({rid: per_record.pop(rid) for rid in ids if rid in per_record})
+        write_pajek_net(threshold_filter(period, config.min_occurrences), None,
+                        _period_net_path(config, window))
+        nets.append(period)
+    if per_record or not nets:
+        nets.append(_cooccurrence_network(per_record))  # the records outside every window
+    full = sum_networks(nets)
     net = threshold_filter(full, config.min_occurrences)
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)

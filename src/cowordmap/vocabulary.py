@@ -111,17 +111,22 @@ def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> O
     Mapped keywords become their canonical descriptor. Unmapped keywords
     become their own match-key when ``passthrough`` is on, and are dropped
     from the descriptor sets otherwise; either way they are tallied in
-    ``unmapped``. Duplicates within a record collapse to one.
+    ``unmapped``. Duplicates within a record collapse to one. Each distinct
+    raw keyword is looked up once per call.
     """
     per_record: dict[str, frozenset[str]] = {}
     totals: Counter[str] = Counter()
     unmapped: Counter[str] = Counter()
+    looked_up: dict[str, tuple[str, str | None]] = {}
     tokens = 0
     for record in rs:
         found = set()
         for raw in record.raw_keywords:
-            key = match_key(raw)
-            canonical = table.get(key)
+            hit = looked_up.get(raw)
+            if hit is None:
+                key = match_key(raw)
+                hit = looked_up[raw] = (key, table.get(key))
+            key, canonical = hit
             if canonical is None:
                 unmapped[key] += 1
                 if not passthrough:

@@ -412,6 +412,63 @@ def test_run_parses_records_once(tmp_path, monkeypatch):
     assert calls == [RECORDS_CSV]
 
 
+OUTSIDE_WINDOWS = (PeriodWindow(2001, 2003), PeriodWindow(2010, 2012))
+
+
+def test_records_outside_every_window_count_in_the_full_network(tmp_path, capsys):
+    # 19 of the 40 fixture records fall outside both windows
+    full = tmp_path / "full"
+    manifest = run_pipeline(fixture_config(full, windows=OUTSIDE_WINDOWS, min_occurrences=2))
+    rows = oracles.read_fixture_rows(RECORDS_CSV)
+    assert sum(1 for row in rows if not any(int(row["year"]) in w for w in OUTSIDE_WINDOWS)) == 19
+
+    sets = oracles.descriptor_sets(rows, oracles.read_mapping_pairs(MAPPING_TXT))
+    totals = oracles.occurrence_totals(sets)
+    pairs = oracles.pair_counts(sets)
+    kept = {d: c for d, c in totals.items() if c >= 2}
+    kept_pairs = {p: c for p, c in pairs.items() if set(p) <= kept.keys()}
+    stages = manifest["stages"]
+    assert (stages["net"]["full_vertices"], stages["net"]["full_edges"]) == (len(totals), len(pairs))
+
+    def table(name):
+        with open(full / name, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    assert {label: int(c) for label, c in table("vertices.csv")} == kept
+    assert {tuple(sorted((a, b))): int(c) for a, b, c in table("edges.csv")} == kept_pairs
+    net, _ = read_pajek_net(full / "network.net")
+    assert set(net.labels) == kept.keys()
+    assert {tuple(sorted((net.labels[i], net.labels[j]))): c for i, j, c in net.edges} == kept_pairs
+
+    # stage by stage, net reads descriptors.csv: the same bytes as the run
+    staged = tmp_path / "staged"
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(staged),
+            "--windows", "2001-2003,2010-2012", "--min-occ", "2"]
+    for name, _, _ in stage_table():
+        assert main([name, *args]) == 0, capsys.readouterr().err
+    full_files = snapshot(full)
+    full_files.pop(MANIFEST_FILE)
+    assert snapshot(staged) == full_files
+
+
+# builds: one per window, and one for the records outside every window if any
+@pytest.mark.parametrize("windows, builds", [
+    ((), 1), ((PeriodWindow(2001, 2006), PeriodWindow(2007, 2012)), 2), (OUTSIDE_WINDOWS, 3)])
+def test_run_counts_each_pair_once(tmp_path, monkeypatch, windows, builds):
+    counted = []
+    build = pipeline.build_network
+
+    def counting(idx):
+        counted.append(sum(len(s) * (len(s) - 1) // 2 for s in idx.per_record.values()))
+        return build(idx)
+
+    monkeypatch.setattr(pipeline, "build_network", counting)
+    run_pipeline(fixture_config(tmp_path / "out", windows=windows))
+    sets = oracles.descriptor_sets(oracles.read_fixture_rows(RECORDS_CSV), oracles.read_mapping_pairs(MAPPING_TXT))
+    assert sum(counted) == sum(len(s) * (len(s) - 1) // 2 for s in sets.values())
+    assert len(counted) == builds
+
+
 def test_runs_in_one_process_share_nothing(tmp_path):
     # corpus B: every other fixture record, so its ids are a subset of A's
     lines = RECORDS_CSV.read_text(encoding="utf-8").splitlines(keepends=True)

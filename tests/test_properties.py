@@ -10,12 +10,14 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cowordmap.cli import main
 from cowordmap.clusters import ClusterPartition, detect_clusters, modularity
 from cowordmap.network import (
     association_strength,
     build_network,
     connected_components,
+    sum_networks,
     threshold_filter,
 )
 from cowordmap.pajek import format_pajek_net, read_pajek_net
@@ -180,6 +182,55 @@ def test_build_network_order_independent(idx, rnd):
     rnd.shuffle(items)
     shuffled = OccurrenceIndex(dict(items), idx.totals, {}, 0)
     assert build_network(idx) == build_network(shuffled)
+
+
+@st.composite
+def loose_indexes(draw, max_descriptors=10, max_records=25):
+    """Indexes whose totals need not be the counts of their sets: a descriptor
+    may be missing from ``totals``, have a total of 0 or any other total.
+    Sets may be empty or singletons."""
+    names = [f"k{i}" for i in range(draw(st.integers(1, max_descriptors)))]
+    sets = draw(st.lists(st.sets(st.sampled_from(names), max_size=min(6, len(names))), max_size=max_records))
+    per_record = {f"r{i}": frozenset(s) for i, s in enumerate(sets)}
+    counted = oracles.occurrence_totals(per_record)
+    totals = {}
+    for d in names:
+        kind = draw(st.sampled_from(("counted", "missing", "zero", "other")))
+        if kind == "counted":
+            totals[d] = counted[d]
+        elif kind == "zero":
+            totals[d] = 0
+        elif kind == "other":
+            totals[d] = draw(st.integers(1, 30))
+    return OccurrenceIndex(per_record, totals, {}, 0)
+
+
+@PROPERTY_SETTINGS
+@given(loose_indexes())
+def test_build_network_matches_brute_force_oracle(idx):
+    # vertices: the descriptors with a positive total, weight descending then
+    # label; edges: the oracle's pair counts over the sets cut to those vertices
+    weight = {d: c for d, c in idx.totals.items() if c > 0}
+    labels = sorted(weight, key=lambda d: (-weight[d], d))
+    at = {d: i for i, d in enumerate(labels)}
+    pairs = oracles.pair_counts({rid: s & weight.keys() for rid, s in idx.per_record.items()})
+    edges = sorted((min(at[a], at[b]), max(at[a], at[b]), c) for (a, b), c in pairs.items())
+    net = build_network(idx)
+    assert net.labels == tuple(labels)
+    assert net.weights == tuple(weight[d] for d in labels)
+    assert net.edges == tuple(edges)
+
+
+@PROPERTY_SETTINGS
+@given(occurrence_indexes(), st.integers(1, 4), st.data())
+def test_group_networks_sum_to_one_build(idx, n_groups, data):
+    # any split of the records into disjoint groups, empty groups included
+    group_of = {rid: data.draw(st.integers(0, n_groups - 1)) for rid in idx.per_record}
+    nets = []
+    for g in range(n_groups):
+        sets = {rid: s for rid, s in idx.per_record.items() if group_of[rid] == g}
+        nets.append(build_network(OccurrenceIndex(sets, dict(oracles.occurrence_totals(sets)), {}, 0)))
+    assert sum_networks(iter(nets)) == build_network(idx)
 
 
 @PROPERTY_SETTINGS
