@@ -10,7 +10,8 @@ comes from the flag, else the config file, else the field's default, which
 its flag and key; an input that cannot be read or decoded, or an output
 that cannot be written, names its file; files are written whole or not at
 all), 2 pipeline error; diagnostics go to stderr, and so does a warning
-when the layout did not converge (the exit code stays 0).
+when the layout did not converge or the clustering stopped at its sweep cap
+(the exit code stays 0).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
-from . import __version__
+from . import __version__, clusters
 from .errors import InputError, StageError, content_lines
 from .layout import LayoutParams
 from .pipeline import RunConfig, parse_windows, run_pipeline, run_stage, stage_table
@@ -108,7 +109,8 @@ OPTIONS = (
     Option("--layout-tolerance", "layout_tolerance", "layout.tolerance", float,
            "gradient tolerance, in units of a component's mean graph distance"),
     Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int,
-           "trust-region Newton iterations allowed per component, rejected steps included"),
+           "trust-region Newton iterations allowed per component, rejected steps included "
+           "(the majorization sweeps before them are not counted)"),
     Option("--svg-size", "svg_size", "svg.size", int, "SVG viewport size in px"),
     Option("--edge-floor", "edge_weight_floor", "svg.edge_weight_floor", int, "hide SVG edges below this weight"),
 )
@@ -180,10 +182,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_unconverged(layout: dict, config: RunConfig) -> None:
-    if not layout["converged"]:
+def _warn(stage: str, stats: dict, config: RunConfig) -> None:
+    """Say on stderr when the layout or the clustering stopped at its budget."""
+    if stage == "layout" and not stats["converged"]:
         print(f"warning: layout did not converge within {config.layout.max_iterations} iterations "
-              f"per component ({layout['iterations']} used over all components)", file=sys.stderr)
+              f"per component ({stats['iterations']} used over all components)", file=sys.stderr)
+    if stage == "cluster" and not stats["settled"]:
+        print(f"warning: clustering stopped at {clusters.MAX_SWEEPS} local-moving sweeps on some level "
+              f"before it settled ({stats['sweeps']} sweeps over all levels)", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"run: {counts['ingest']['records']} records, "
                   f"{counts['net']['vertices']} vertices, {counts['net']['edges']} edges, "
                   f"{counts['cluster']['clusters']} clusters -> {config.out_dir}")
-            _warn_unconverged(counts["layout"], config)
+            for stage in ("cluster", "layout"):
+                _warn(stage, counts[stage], config)
             return 0
 
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = run_stage(args.command, fn, config, *extra)
         summary = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"{args.command}: {summary}")
-        if args.command == "layout":
-            _warn_unconverged(stats, config)
+        _warn(args.command, stats, config)
         return 0
     except StageError as exc:
         print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)

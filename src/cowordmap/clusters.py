@@ -23,10 +23,17 @@ from .network import (
 
 @dataclass(frozen=True)
 class ClusterPartition:
-    """Total assignment of vertex index -> cluster id (1-based, dense)."""
+    """Total assignment of vertex index -> cluster id (1-based, dense).
+
+    ``sweeps`` counts the local-moving sweeps that found it, over every level
+    and component; ``settled`` is false when some level used all
+    ``MAX_SWEEPS`` sweeps, the cap that stops a level still moving.
+    """
 
     assignment: tuple[int, ...]
     modularity: float
+    sweeps: int = 0
+    settled: bool = True
 
     def __post_init__(self):
         ids = set(self.assignment)
@@ -134,16 +141,19 @@ def _local_moving(b: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
     return comm, sweeps
 
 
-def _louvain(b: np.ndarray, gamma: float) -> np.ndarray:
-    """Full two-phase agglomeration on one connected weight matrix."""
+def _louvain(b: np.ndarray, gamma: float) -> tuple[np.ndarray, list[int]]:
+    """Full two-phase agglomeration on one connected weight matrix; returns
+    the assignment and the local-moving sweeps of each level."""
     n = b.shape[0]
     assignment = np.arange(n)
     level = b.astype(float).copy()
+    sweeps = []
     while True:
-        comm, _ = _local_moving(level, gamma)
+        comm, level_sweeps = _local_moving(level, gamma)
+        sweeps.append(level_sweeps)
         ids = sorted({int(c) for c in comm})
         if len(ids) == level.shape[0]:
-            return assignment
+            return assignment, sweeps
         relabel = {c: i for i, c in enumerate(ids)}
         comm_rel = np.array([relabel[int(c)] for c in comm])
         assignment = comm_rel[assignment]
@@ -171,9 +181,11 @@ def detect_clusters(
     n = net.n_vertices
     raw = np.zeros(n, dtype=int)
     offset = 0
+    sweeps: list[int] = []
     for comp in connected_components(net):
         idx = np.asarray(comp)
-        local = _louvain(w[np.ix_(idx, idx)], resolution)
+        local, comp_sweeps = _louvain(w[np.ix_(idx, idx)], resolution)
+        sweeps += comp_sweeps
         for pos, orig in enumerate(comp):
             raw[orig] = offset + int(local[pos])
         offset += int(local.max()) + 1
@@ -187,7 +199,7 @@ def detect_clusters(
         assignment.append(seen[c])
     partition = ClusterPartition(tuple(assignment), 0.0)
     q = modularity(net, partition, resolution, use_similarity)
-    return ClusterPartition(tuple(assignment), q)
+    return ClusterPartition(tuple(assignment), q, sum(sweeps), max(sweeps) < MAX_SWEEPS)
 
 
 def cluster_summary(

@@ -6,17 +6,20 @@ their shortest-path distance. Stress is
 
     E = sum_{i<j} (|p_i - p_j| - scale * d_ij)^2 / d_ij^2
 
-minimized per connected component over all of its coordinates at once by
-trust-region Newton (``minimize``: Steihaug's truncated conjugate gradient
-on the dense analytic Hessian, in numpy). ``stress_objective`` is the one
-implementation of E: built once per component, with every term that depends
-only on the distances precomputed, it returns E and its analytic gradient
-from a single pass over the pair matrix; ``stress_hessian`` is built the same
-way. ``stress`` and ``stress_gradient`` are thin wrappers over the objective.
-Each component is solved in units of its mean graph distance, which is also
-the unit of ``LayoutParams.tolerance``.
+minimized per connected component over all of its coordinates at once.
 Each component starts from its classical-MDS layout, turned to match a
 circle in canonical vertex order, so runs are reproducible without a seed.
+Stress majorization (SMACOF, ``_majorize``), whose every sweep lowers E,
+brings it near a minimum; trust-region Newton (``minimize``: Steihaug's
+truncated conjugate gradient on the dense analytic Hessian, in a diagonally
+scaled region, in numpy) then converges. ``_Stress`` is the one
+implementation of E: built once per component, with every term that depends
+only on the distances precomputed, it returns E and its analytic gradient
+from a single pass over the pair matrix, and its Hessian reuses that pass's
+pair geometry. ``stress_objective`` and ``stress_hessian`` expose it over
+interleaved coordinates; ``stress`` and ``stress_gradient`` are thin
+wrappers over the objective. Each component is solved in units of its mean
+graph distance, which is also the unit of ``LayoutParams.tolerance``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ class LayoutMap:
 
     Raw optimizer output keeps display units (``normalized=False``);
     ``layout_network`` returns unit-square coordinates. ``final_stress``
-    always refers to the optimizer's coordinate frame. ``stress_history``
-    holds one non-increasing trace per component when present: the stress of
-    the classical-MDS start, then one entry per Newton iteration, where a
+    always refers to the optimizer's coordinate frame. ``iterations`` counts
+    Newton iterations and ``sweeps`` majorization sweeps, each summed over
+    components. ``stress_history`` holds one non-increasing trace per
+    component when present: the stress of the classical-MDS start, then one
+    entry per majorization sweep, then one per Newton iteration, where a
     rejected step repeats the value before it. ``components`` lists the
     vertex indices of each connected component the optimizer solved apart,
     in the order of ``stress_history``; it is empty when unknown.
@@ -64,6 +69,7 @@ class LayoutMap:
     final_stress: float | None
     converged: bool = True
     iterations: int = 0
+    sweeps: int = 0
     normalized: bool = False
     stress_history: tuple[tuple[float, ...], ...] | None = None
     components: tuple[tuple[int, ...], ...] = ()
@@ -91,6 +97,85 @@ def graph_distances(net: CoNetwork) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return out
 
 
+class _Stress:
+    """One component's stress over block-ordered coordinates
+    ``[x_0, ..., x_{m-1}, y_0, ..., y_{m-1}]``.
+
+    Everything that depends only on ``dmat`` and ``scale`` is computed here,
+    once. ``objective`` forms a point's pair geometry (the offsets ``dx``,
+    ``dy`` and the distances ``r``) in preallocated buffers and returns
+    ``(stress, gradient)`` from that one pass; ``hessian`` at the same point
+    reuses the geometry. Pairs at infinite graph distance, and each vertex
+    with itself, add nothing.
+    """
+
+    def __init__(self, dmat: np.ndarray, scale: float):
+        self.m = m = dmat.shape[0]
+        finite = np.isfinite(dmat)
+        np.fill_diagonal(finite, False)
+        self.off = ~finite
+        self.upper = np.flatnonzero(np.triu(finite, 1))
+        d_up = dmat.ravel().take(self.upper)
+        self.target_up = scale * d_up
+        self.d2_up = d_up * d_up
+        d = np.where(finite, dmat, 1.0)
+        self.target = scale * d
+        self.weight = np.where(finite, 2.0 / (d * d), 0.0)
+        self.weight_target = self.weight * self.target
+        self.dx, self.dy, self.r, self.work = (np.empty((m, m)) for _ in range(4))
+        self.at: np.ndarray | None = None  # the point the geometry belongs to
+
+    def objective(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        m, dx, dy, r, work = self.m, self.dx, self.dy, self.r, self.work
+        np.subtract.outer(z[:m], z[:m], out=dx)
+        np.subtract.outer(z[m:], z[m:], out=dy)
+        np.multiply(dx, dx, out=r)
+        np.multiply(dy, dy, out=work)
+        np.add(r, work, out=r)
+        np.sqrt(r, out=r)
+        self.at = np.array(z, dtype=np.float64)
+        # value: sum over i<j of (r - scale d)^2 / d^2
+        e = r.take(self.upper)
+        np.subtract(e, self.target_up, out=e)
+        np.multiply(e, e, out=e)
+        np.divide(e, self.d2_up, out=e)
+        value = float(e.sum())
+        # gradient factor 2/d^2 (1 - scale d / r), +0.0 off the finite pairs
+        np.maximum(r, 1e-12, out=work)
+        np.divide(self.target, work, out=work)
+        np.subtract(1.0, work, out=work)
+        np.multiply(self.weight, work, out=work)
+        np.copyto(work, 0.0, where=self.off)
+        return value, np.concatenate(((work * dx).sum(axis=1), (work * dy).sum(axis=1)))
+
+    def hessian(self, z: np.ndarray) -> np.ndarray:
+        """A fresh dense ``(2m, 2m)`` Hessian in blocks ``[[xx, xy], [xy, yy]]``.
+
+        With ``w = 2/d^2``, ``t = scale d`` and ``delta = p_i - p_j``, pair i, j
+        adds ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal
+        entries of i and j and subtracts it from the entries between them.
+        """
+        if not np.array_equal(self.at, z):
+            self.objective(z)
+        m, dx, dy, iso = self.m, self.dx, self.dy, self.work  # w (1 - t/r), the gradient factor
+        inv_r = 1.0 / np.maximum(self.r, 1e-12)
+        outer = self.weight_target * inv_r
+        outer *= inv_r
+        outer *= inv_r
+        h = np.empty((2 * m, 2 * m))
+        for block, pair in ((h[:m, :m], iso + outer * dx * dx), (h[:m, m:], outer * dx * dy),
+                            (h[m:, m:], iso + outer * dy * dy)):
+            np.negative(pair, out=block)
+            np.fill_diagonal(block, pair.sum(axis=1))
+        h[m:, :m] = h[:m, m:]
+        return h
+
+
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """Coordinates ``(m, 2)`` or flat ``x0, y0, x1, ...`` in block order."""
+    return np.asarray(x, dtype=np.float64).reshape(-1, 2).T.ravel()
+
+
 def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """One component's stress as a function of its coordinates.
 
@@ -99,45 +184,11 @@ def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], t
     ``(stress, flat gradient)`` in one pass over the pair matrix: pairs at
     infinite graph distance, and each vertex with itself, add nothing.
     """
-    m = dmat.shape[0]
-    finite = np.isfinite(dmat)
-    np.fill_diagonal(finite, False)
-    off = ~finite
-    upper = np.flatnonzero(np.triu(finite, 1))
-    d_up = dmat.ravel().take(upper)
-    target_up = scale * d_up
-    d2_up = d_up * d_up
-    d = np.where(finite, dmat, 1.0)
-    target = scale * d
-    weight = 2.0 / (d * d)
-    dx = np.empty((m, m))
-    dy = np.empty((m, m))
-    r = np.empty((m, m))
-    sq = np.empty((m, m))
+    stress = _Stress(dmat, scale)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = np.asarray(x, dtype=np.float64).reshape(m, 2)
-        np.subtract.outer(p[:, 0], p[:, 0], out=dx)
-        np.subtract.outer(p[:, 1], p[:, 1], out=dy)
-        np.multiply(dx, dx, out=r)
-        np.multiply(dy, dy, out=sq)
-        np.add(r, sq, out=r)
-        np.sqrt(r, out=r)
-        # value: sum over i<j of (r - scale d)^2 / d^2
-        e = r.take(upper)
-        np.subtract(e, target_up, out=e)
-        np.multiply(e, e, out=e)
-        np.divide(e, d2_up, out=e)
-        value = float(e.sum())
-        # gradient factor 2/d^2 (1 - scale d / r), +0.0 off the finite pairs
-        np.maximum(r, 1e-12, out=r)
-        np.divide(target, r, out=r)
-        np.subtract(1.0, r, out=r)
-        np.multiply(weight, r, out=r)
-        np.copyto(r, 0.0, where=off)
-        np.multiply(r, dx, out=dx)
-        np.multiply(r, dy, out=dy)
-        return value, np.column_stack((dx.sum(axis=1), dy.sum(axis=1))).ravel()
+        value, g = stress.objective(_blocks(x))
+        return value, g.reshape(2, -1).T.ravel()
 
     return objective
 
@@ -145,42 +196,15 @@ def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], t
 def stress_hessian(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], np.ndarray]:
     """One component's stress Hessian as a function of its coordinates.
 
-    Built like ``stress_objective``: the distance-only terms are computed
-    once. The returned function maps coordinates (``(m, 2)`` or flat) to the
-    dense ``(2m, 2m)`` Hessian over ``x0, y0, x1, ...``. With ``w = 2/d^2``,
-    ``t = scale d`` and ``delta = p_i - p_j``, pair i, j adds the block
-    ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal blocks of i and
-    j and subtracts it from their two off-diagonal blocks; pairs at infinite
-    graph distance add nothing. Each call returns a fresh array, so a caller
-    may keep an earlier one.
+    Built like ``stress_objective``. The returned function maps coordinates
+    (``(m, 2)`` or flat) to the dense ``(2m, 2m)`` Hessian over ``x0, y0,
+    x1, ...`` (``_Stress.hessian`` in that order). Each call returns a fresh
+    array, so a caller may keep an earlier one.
     """
-    m = dmat.shape[0]
-    finite = np.isfinite(dmat)
-    np.fill_diagonal(finite, False)
-    d = np.where(finite, dmat, 1.0)
-    weight = np.where(finite, 2.0 / (d * d), 0.0)
-    weight_target = weight * scale * d
-    idx = np.arange(m)
+    stress, m = _Stress(dmat, scale), dmat.shape[0]
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        p = np.asarray(x, dtype=np.float64).reshape(m, 2)
-        dx = np.subtract.outer(p[:, 0], p[:, 0])
-        dy = np.subtract.outer(p[:, 1], p[:, 1])
-        inv_r = 1.0 / np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
-        iso = weight - weight_target * inv_r
-        outer = weight_target * inv_r**3
-        xx = iso + outer * dx * dx
-        xy = outer * dx * dy
-        yy = iso + outer * dy * dy
-        h = np.empty((m, 2, m, 2))
-        np.negative(xx, out=h[:, 0, :, 0])
-        np.negative(xy, out=h[:, 0, :, 1])
-        np.negative(xy, out=h[:, 1, :, 0])
-        np.negative(yy, out=h[:, 1, :, 1])
-        h[idx, 0, idx, 0] = xx.sum(axis=1)
-        h[idx, 0, idx, 1] = h[idx, 1, idx, 0] = xy.sum(axis=1)
-        h[idx, 1, idx, 1] = yy.sum(axis=1)
-        return h.reshape(2 * m, 2 * m)
+        return stress.hessian(_blocks(x)).reshape(2, m, 2, m).transpose(1, 0, 3, 2).reshape(2 * m, 2 * m)
 
     return hessian
 
@@ -250,15 +274,20 @@ def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np
              hessian: Callable[[np.ndarray], np.ndarray], gtol: float, maxiter: int,
              callback: Callable[[float], None] | None = None) -> Solution:
     """Trust-region Newton with Steihaug's truncated CG (Nocedal & Wright 2006,
-    Alg. 4.1), with the defaults of scipy's ``trust-ncg``.
+    Alg. 4.1) in a diagonally scaled trust region.
 
-    The radius starts at 1 and never exceeds 1000; a step is taken when the
-    actual reduction is above 0.15 of the model's, the radius shrinks by 4
-    below 0.25 and doubles above 0.75 if the step reached it. The Hessian is
-    rebuilt only at a new point. Stops when the gradient norm is below
-    ``gtol``, after ``maxiter`` iterations, or when the model predicts no
-    reduction. ``callback`` gets the value at the current point after every
-    iteration, so a rejected step repeats the value before it.
+    At each new point the Hessian H is rebuilt, with the scaling
+    ``D = sqrt(max(|diag H|, 1e-3 max |diag H|))`` normalized to geometric
+    mean 1. ``_steihaug`` solves the model in ``q = D p``, on ``D^-1 g`` and
+    ``D^-1 H D^-1``, so the region is ``|D p| <= radius`` and each step is
+    ``D^-1 q``; that evens out the curvature CG sees. The radius starts at 1
+    and never exceeds 1000; a step is taken when the actual reduction is
+    above 0.15 of the model's, the radius shrinks by 4 below 0.25 and doubles
+    above 0.75 if the step reached it. Stops when the norm of the unscaled
+    gradient is below ``gtol``, after ``maxiter`` iterations, or when the
+    model predicts no reduction. ``callback`` gets the value at the current
+    point after every iteration, so a rejected step repeats the value before
+    it.
     """
     x = np.array(x0, dtype=np.float64).ravel()
     f, g = objective(x)
@@ -266,11 +295,19 @@ def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np
     while math.sqrt(g @ g) >= gtol and nit < maxiter:
         if h is None:
             h = hessian(x)
-        p, on_boundary = _steihaug(f, g, h, radius)
-        predicted = f - _model(f, g, h, p)
+            diag = np.abs(np.diagonal(h))
+            top = diag.max()
+            scaling = np.sqrt(np.maximum(diag, 1e-3 * top)) if top > 0 else np.ones_like(diag)
+            scaling /= np.exp(np.log(scaling).mean())
+            inverse = 1.0 / scaling
+            h = h * inverse  # a new array: the caller's Hessian stays as it was
+            h *= inverse[:, None]
+            gs = g * inverse
+        q, on_boundary = _steihaug(f, gs, h, radius)
+        predicted = f - _model(f, gs, h, q)
         if not predicted > 0:
             break
-        x_new = x + p
+        x_new = x + q * inverse
         f_new, g_new = objective(x_new)
         nfev += 1
         rho = (f - f_new) / predicted
@@ -307,29 +344,65 @@ def classical_mds(dmat: np.ndarray) -> np.ndarray:
     return mds @ (u @ vt) + 0.01 * circle
 
 
-def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, bool, list[float]]:
-    """Trust-region Newton (``minimize``, with the analytic Hessian) over all
-    coordinates of one component, from its classical-MDS layout, in
-    units of the component's mean graph distance (stress is the same in any
-    unit).
+MAX_SWEEPS = 200  # a backstop; maps settle within a few dozen sweeps
 
-    Returns (coordinates, iterations, converged, stress trace); the trace
-    starts at the stress of the start and adds one entry per iteration, a
-    rejected step repeating the value before it.
+
+def _majorize(stress: _Stress, z: np.ndarray, trace: list[float]) -> tuple[np.ndarray, int]:
+    """Stress majorization (SMACOF; Gansner, Koren & North 2004) from ``z``.
+
+    With weights ``w = 1/d^2`` and ``V`` their Laplacian, each sweep is the
+    Guttman transform ``z <- V^+ B(z) z``, which is ``centre(z) - V^+ g / 2``
+    for the stress gradient g at z; ``V^+ = inv(V + J) - J`` with
+    ``J = 11^T / m``. Appends the stress of the start, then of each sweep,
+    to ``trace``. Stops when a sweep lowers the stress by less than 1e-3 of
+    its value, or does not lower it (that sweep is dropped), or after
+    ``MAX_SWEEPS`` sweeps. Returns the point and the sweeps made.
+    """
+    m = stress.m
+    w = 0.5 * stress.weight
+    j = np.full((m, m), 1.0 / m)
+    v_plus = np.linalg.inv(np.diag(w.sum(axis=1)) - w + j) - j
+    f, g = stress.objective(z)
+    trace.append(f)
+    sweeps = 0
+    while sweeps < MAX_SWEEPS:
+        p = z.reshape(2, m)
+        z_new = (p - p.mean(axis=1, keepdims=True) - 0.5 * (g.reshape(2, m) @ v_plus)).ravel()
+        f_new, g_new = stress.objective(z_new)
+        if not f_new < f:
+            break
+        trace.append(f_new)
+        sweeps += 1
+        settled = f - f_new < 1e-3 * f
+        z, f, g = z_new, f_new, g_new
+        if settled:
+            break
+    return z, sweeps
+
+
+def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, int, bool, list[float]]:
+    """Stress majorization (``_majorize``) from the classical-MDS layout, then
+    trust-region Newton (``minimize``, with the analytic Hessian) over all
+    coordinates of one component, in units of the component's mean graph
+    distance (stress is the same in any unit).
+
+    Returns (coordinates, Newton iterations, sweeps, converged, stress
+    trace); the trace starts at the stress of the start, adds one entry per
+    sweep, then one per Newton iteration, a rejected step repeating the value
+    before it.
     """
     m = dmat.shape[0]
     unit = float(dmat.sum()) / (m * (m - 1))  # every pair of a component is finite
     scaled = dmat / unit
-    objective = stress_objective(scaled, params.scale)
-    pos = params.scale * classical_mds(scaled)
-    trace = [objective(pos)[0]]
-
+    stress = _Stress(scaled, params.scale)
+    trace: list[float] = []
+    start, sweeps = _majorize(stress, (params.scale * classical_mds(scaled)).T.ravel(), trace)
     # the whole gradient's norm bounds each vertex's gradient norm
-    result = minimize(objective, pos, stress_hessian(scaled, params.scale),
+    result = minimize(stress.objective, start, stress.hessian,
                       params.tolerance, params.max_iterations, callback=trace.append)
-    out = result.x.reshape(m, 2)
-    norms = np.sqrt((result.jac.reshape(m, 2) ** 2).sum(axis=1))
-    return out * unit, result.nit, bool((norms < params.tolerance).all()), trace
+    gx, gy = result.jac.reshape(2, m)
+    converged = bool((np.sqrt(gx * gx + gy * gy) < params.tolerance).all())
+    return result.x.reshape(2, m).T * unit, result.nit, sweeps, converged, trace
 
 
 def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
@@ -337,10 +410,12 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
 
     Each component starts from its classical-MDS layout (``classical_mds``)
     around its own origin, so components of a disconnected network overlap
-    until ``pack_components`` arranges them. A component is solved by
-    trust-region Newton over all of its coordinates at once, for at most
-    ``params.max_iterations`` iterations. ``iterations`` sums the Newton
-    iterations over components, rejected steps included. ``converged`` means
+    until ``pack_components`` arranges them. A component is brought near its
+    minimum by stress majorization (``_majorize``, at most ``MAX_SWEEPS``
+    sweeps), then solved by trust-region Newton over all of its coordinates
+    at once, for at most ``params.max_iterations`` iterations.
+    ``iterations`` sums the Newton iterations over components, rejected
+    steps included, and ``sweeps`` the majorization sweeps. ``converged`` means
     every vertex's stress-gradient norm ended below ``params.tolerance``, in
     units of the component's mean graph distance (so multiplying every edge
     weight by one constant gives the same map, up to the limit that
@@ -354,25 +429,27 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     coords = np.zeros((net.n_vertices, 2))
     histories: list[tuple[float, ...]] = []
     total = 0.0
-    iterations = 0
+    iterations = sweeps = 0
     converged = True
     distances = graph_distances(net)
     for comp, dmat in distances:
         if len(comp) == 1:
             histories.append((0.0,))
             continue
-        pos, it, conv, trace = _minimize_component(dmat, params)
+        pos, it, sw, conv, trace = _minimize_component(dmat, params)
         for local, orig in enumerate(comp):
             coords[orig] = pos[local]
         histories.append(tuple(trace))
         total += trace[-1]
         iterations += it
+        sweeps += sw
         converged = converged and conv
     return LayoutMap(
         coords,
         final_stress=total,
         converged=converged,
         iterations=iterations,
+        sweeps=sweeps,
         normalized=False,
         stress_history=tuple(histories),
         components=tuple(comp for comp, _ in distances),
@@ -459,5 +536,6 @@ def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Lay
         final_stress=raw.final_stress,
         converged=raw.converged,
         iterations=raw.iterations,
+        sweeps=raw.sweeps,
         normalized=True,
     )

@@ -376,7 +376,8 @@ def stage_cluster(config: RunConfig) -> dict:
     write_pajek_clu(partition, config.out_dir / CLU_FILE)
     freq = list(zip(net.labels, net.require_weights()))
     write_cluster_summary_csv(cluster_summary(partition, freq), config.out_dir / CLUSTER_SUMMARY_FILE)
-    return {"clusters": partition.n_clusters, "modularity": partition.modularity}
+    return {"clusters": partition.n_clusters, "modularity": partition.modularity,
+            "sweeps": partition.sweeps, "settled": partition.settled}
 
 
 def stage_layout(config: RunConfig) -> dict:
@@ -385,6 +386,7 @@ def stage_layout(config: RunConfig) -> dict:
     write_pajek_net(net, layout, config.out_dir / NET_FILE)
     return {
         "iterations": layout.iterations,
+        "sweeps": layout.sweeps,
         "converged": layout.converged,
         "final_stress": layout.final_stress,
     }

@@ -236,13 +236,30 @@ def test_triangle_becomes_equilateral():
 
 
 def test_stress_never_increases():
+    # exactly, across the hand-over from the sweeps to Newton too; a hub with
+    # equal leaves starts from a degenerate MDS eigenspace
     rng = np.random.default_rng(29)
-    for _ in range(10):
-        net = connected_random_network(rng, int(rng.integers(3, 12)))
+    nets = [connected_random_network(rng, int(rng.integers(3, 12))) for _ in range(10)]
+    nets += [make_network([("hub", 9)] + [(f"leaf{i}", 2) for i in range(k)],
+                          [("hub", f"leaf{i}", 1) for i in range(k)]) for k in (4, 5, 8)]
+    for net in nets:
         lm = kamada_kawai(net)
         for trace in lm.stress_history:
             for earlier, later in zip(trace, trace[1:]):
-                assert later <= earlier + 1e-12
+                assert later <= earlier
+
+
+def test_majorization_sweeps_come_before_the_newton_iterations():
+    net = connected_random_network(np.random.default_rng(61), 20)
+    full = kamada_kawai(net)
+    [trace] = full.stress_history
+    assert full.sweeps > 0 and full.iterations > 0
+    assert len(trace) == 1 + full.sweeps + full.iterations
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:full.sweeps + 1]))
+    # a budget of one Newton iteration leaves every earlier entry as it was
+    short = kamada_kawai(net, LayoutParams(max_iterations=1))
+    assert short.sweeps == full.sweeps and short.iterations == 1
+    assert short.stress_history == (trace[:full.sweeps + 2],)
 
 
 def test_fixture_layout_beats_circle_and_descent_oracle(fixture_network):
@@ -351,13 +368,32 @@ def test_minimize_reaches_the_minimiser_of_a_convex_quadratic():
     assert result.nfev >= result.nit + 1
 
 
+def test_minimize_scales_a_badly_conditioned_diagonal_quadratic():
+    # condition number 1e6; the same trust region without the diagonal
+    # scaling, |p| <= radius, takes 7 iterations here
+    a = np.logspace(0, 6, 4)
+    x_star = 3.0 / np.sqrt(a)
+
+    def objective(x):
+        return float(0.5 * (a * x) @ x - (a * x_star) @ x), a * (x - x_star)
+
+    result = minimize(objective, np.zeros(4), lambda x: np.diag(a), 1e-6, 100)
+    assert result.nit <= 3
+    assert np.linalg.norm(result.jac) < 1e-6
+    np.testing.assert_allclose(result.x, x_star, rtol=1e-9)
+
+
 def test_minimize_takes_the_boundary_under_negative_curvature():
     x0 = np.array([0.1, 0.05])
     start, g0 = hat(x0)
     assert np.linalg.eigvalsh(hat_hessian(x0)).max() < 0
     first = minimize(hat, x0, hat_hessian, 1e-10, 1)
     step = first.x - x0
-    assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-12)  # the initial radius
+    # the region is |D p| <= radius, D from the Hessian's diagonal
+    diag = np.abs(np.diagonal(hat_hessian(x0)))
+    scaling = np.sqrt(np.maximum(diag, 1e-3 * diag.max()))
+    scaling /= np.exp(np.log(scaling).mean())
+    assert np.linalg.norm(scaling * step) == pytest.approx(1.0, rel=1e-12)  # the initial radius
     assert step @ g0 < 0  # the boundary point downhill, not the one behind
     assert first.fun < start
     result = minimize(hat, x0, hat_hessian, 1e-10, 100)

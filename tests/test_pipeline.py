@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
-from cowordmap import pipeline
+from cowordmap import clusters, pipeline
 from cowordmap.cli import main
 from cowordmap.errors import InputError, StageError
 from cowordmap.layout import LayoutParams
@@ -218,19 +218,42 @@ def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
     out = tmp_path / "out"
-    assert main(["run", *args, "--out", str(out), "--layout-max-iter", "5"]) == 0
+    assert main(["run", *args, "--out", str(out), "--layout-max-iter", "2"]) == 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("warning: layout did not converge within 5 iterations")
+    assert err.startswith("warning: layout did not converge within 2 iterations")
     manifest = (out / MANIFEST_FILE).read_bytes()
     assert json.loads(manifest)["stages"]["layout"]["converged"] is False
 
     # the warning goes to stderr only: the manifest is what a direct run writes
-    run_pipeline(fixture_config(out, layout=LayoutParams(max_iterations=5)))
+    run_pipeline(fixture_config(out, layout=LayoutParams(max_iterations=2)))
     assert without_timestamps(manifest) == without_timestamps((out / MANIFEST_FILE).read_bytes())
 
-    assert main(["layout", *args, "--out", str(out), "--layout-max-iter", "5"]) == 0
-    assert capsys.readouterr().err.startswith("warning: layout did not converge within 5 iterations")
+    assert main(["layout", *args, "--out", str(out), "--layout-max-iter", "2"]) == 0
+    assert capsys.readouterr().err.startswith("warning: layout did not converge within 2 iterations")
+
+
+def test_cli_warns_when_clustering_stops_at_its_sweep_cap(tmp_path, capsys, monkeypatch):
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+            "--windows", "2001-2006,2007-2012"]
+    plain = tmp_path / "plain"
+    assert main(["run", *args, "--out", str(plain)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    stages = json.loads((plain / MANIFEST_FILE).read_bytes())["stages"]
+    assert stages["cluster"]["settled"] is True and stages["cluster"]["sweeps"] >= 2
+    assert stages["layout"]["sweeps"] > 0  # counted apart from the Newton iterations
+
+    monkeypatch.setattr(clusters, "MAX_SWEEPS", 1)
+    out = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: clustering stopped at 1 local-moving sweeps")
+    cluster = json.loads((out / MANIFEST_FILE).read_bytes())["stages"]["cluster"]
+    assert cluster["settled"] is False and cluster["sweeps"] >= 1
+
+    assert main(["cluster", *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("warning: clustering stopped at 1 local-moving sweeps")
 
 
 def test_cli_unknown_flag_exit_one(tmp_path, capsys):
