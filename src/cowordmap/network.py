@@ -8,7 +8,8 @@ order is canonical: weight descending, ties by label.
 ``build_network`` counts pairs in numpy: the pair (i, j), i < j, of an
 n-vertex network is the int64 code ``i * n + j``, so ascending codes are the
 edges in (i, j) order. The network of disjoint record groups is the sum of
-theirs (``sum_networks``), so a record's pairs are counted once however many
+theirs (``sum_networks``, which relabels each part's edges and sums their
+codes the same way), so a record's pairs are counted once however many
 networks it belongs to.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -96,47 +98,63 @@ def make_network(vertices: list[tuple[str, int]], edges: list[tuple[str, str, in
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edge_list)
 
 
-def build_network(idx: OccurrenceIndex) -> CoNetwork:
-    """Count document-level co-occurrences over per-record descriptor sets.
-
-    Each record contributes 1 to every unordered pair of distinct descriptors
-    in its set; order of records does not matter. Descriptors without a
-    positive total are not vertices and pair with nothing. The vertex ids of
-    the m records holding k vertices form an (m, k) int32 array; its pair
-    codes are counted by ``np.unique`` and freed before the next k.
-    """
-    totals = {d: c for d, c in idx.totals.items() if c > 0}
-    labels = canonical_vertex_order(totals)
-    index = {t: i for i, t in enumerate(labels)}
-    by_size: dict[int, list[int]] = {}
-    for descriptors in idx.per_record.values():
-        ids = [index[d] for d in descriptors if d in index]
-        if len(ids) > 1:
-            by_size.setdefault(len(ids), []).extend(ids)
-    codes, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for k, flat in by_size.items():
-        ids = np.sort(np.array(flat, dtype=np.int32).reshape(-1, k), axis=1)
-        first, second = np.triu_indices(k, 1)
-        group = np.unique(ids[:, first].astype(np.int64) * len(labels) + ids[:, second], return_counts=True)
-        codes.append(group[0])
-        counts.append(group[1])
-    codes, at = np.unique(np.concatenate(codes), return_inverse=True)
+def _from_codes(labels: list[str], totals: dict[str, int], codes: list[np.ndarray],
+                counts: list[np.ndarray]) -> CoNetwork:
+    """The network on ``labels`` whose edge of pair code ``i * n + j`` sums that code's ``counts``."""
+    codes, at = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]), return_inverse=True)
     summed = np.zeros(codes.size, np.int64)
-    np.add.at(summed, at, np.concatenate(counts))
+    np.add.at(summed, at, np.concatenate([np.zeros(0, np.int64), *counts]))
     i, j = np.divmod(codes, len(labels))
     edges = tuple(zip(i.tolist(), j.tolist(), summed.tolist()))
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
 
 
+def build_network(idx: OccurrenceIndex) -> CoNetwork:
+    """Count document-level co-occurrences over per-record descriptor sets.
+
+    Each record contributes 1 to every unordered pair of distinct descriptors
+    in its set; order of records does not matter. Descriptors without a
+    positive total are not vertices and pair with nothing. All records'
+    vertex ids go into one flat int32 array (-1 for a non-vertex, then
+    dropped); the m records holding k vertices form an (m, k) block of it,
+    whose pair codes are counted by ``np.unique`` and freed before the next k.
+    """
+    totals = {d: c for d, c in idx.totals.items() if c > 0}
+    labels = canonical_vertex_order(totals)
+    index = {t: i for i, t in enumerate(labels)}
+    sets = idx.per_record.values()
+    owner = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.int64, len(sets)))
+    ids = np.fromiter(map(index.get, chain.from_iterable(sets), repeat(-1)), np.int32, owner.size)
+    owner, ids = owner[ids >= 0], ids[ids >= 0]
+    per_set = np.bincount(owner, minlength=len(sets))
+    size = per_set[owner]
+    codes, counts = [], []
+    # the set sizes by a Python set: a first plain np.unique call costs about 1 MB of peak RSS
+    for k in sorted(set(per_set.tolist()) - {0, 1}):
+        block = np.sort(ids[size == k].reshape(-1, k), axis=1)
+        first, second = np.triu_indices(k, 1)
+        group = np.unique(block[:, first].astype(np.int64) * len(labels) + block[:, second], return_counts=True)
+        codes.append(group[0])
+        counts.append(group[1])
+    return _from_codes(labels, totals, codes, counts)
+
+
 def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
     """The network of the union of disjoint record groups, from the groups'
     networks: weights summed by label, edge counts summed by label pair."""
+    nets = list(nets)
     totals: Counter[str] = Counter()
-    edges = []
     for net in nets:
         totals.update(dict(zip(net.labels, net.require_weights())))
-        edges += [(net.labels[i], net.labels[j], c) for i, j, c in net.edges]
-    return make_network(list(totals.items()), edges)
+    labels = canonical_vertex_order(totals)
+    index = {t: i for i, t in enumerate(labels)}
+    codes, counts = [], []
+    for net in nets:
+        new_id = np.fromiter(map(index.__getitem__, net.labels), np.int64, net.n_vertices)
+        i, j, c = np.fromiter(chain.from_iterable(net.edges), np.int64, 3 * net.n_edges).reshape(-1, 3).T
+        codes.append(np.minimum(new_id[i], new_id[j]) * len(labels) + np.maximum(new_id[i], new_id[j]))
+        counts.append(c)
+    return _from_codes(labels, totals, codes, counts)
 
 
 def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:

@@ -30,7 +30,10 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
@@ -217,14 +220,19 @@ def _csv_rows(path: Path, *types: Callable[[str], object]):
 
 def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
     per_record: dict[str, set[str]] = {}
-    for record_id, descriptor in _csv_rows(path, str, str):
-        per_record.setdefault(record_id, set()).add(descriptor)
+    with artifact_reader(path) as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if len(row) != 2:
+                raise InputError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            per_record.setdefault(row[0], set()).add(row[1])
     return {rid: frozenset(s) for rid, s in per_record.items()}
 
 
 def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
     """Unthresholded network of per-record descriptor sets, as read from descriptors.csv."""
-    totals = Counter(d for s in per_record.values() for d in s)
+    totals = Counter(chain.from_iterable(per_record.values()))
     return build_network(OccurrenceIndex(per_record, dict(totals), {}, 0))
 
 
@@ -259,7 +267,7 @@ def stage_ingest(config: RunConfig, *, state: RunState | None = None) -> dict:
     write_records(rs, config.out_dir / RECORDS_FILE)
     if state is not None:
         state.records = rs
-    return {"records": len(rs), "by_source": dict(Counter(r.source for r in rs))}
+    return {"records": len(rs), "by_source": dict(Counter(map(attrgetter("source"), rs)))}
 
 
 def stage_report(config: RunConfig, scheme: str = "both", by: str = "none", *,
@@ -315,7 +323,7 @@ def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict
         rid = next(r.id for r in rs if bad in idx.per_record[r.id])
         raise InputError(f"record '{rid}': descriptor {bad!r} contains '\"' or a line break, "
                          "which a Pajek label cannot hold")
-    rows = [(r.id, d) for r in rs for d in sorted(idx.per_record.get(r.id, ()))]
+    rows = chain.from_iterable(zip(repeat(r.id), sorted(idx.per_record[r.id])) for r in rs)
     write_descriptors_csv(rows, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)
@@ -491,16 +499,24 @@ def run_pipeline(config: RunConfig) -> dict:
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
     state = RunState()
-    # compare diffs the period networks, so a run compares only when there are two
-    stages = {name: run_stage(name, fn, config, **({"state": state} if name in STATEFUL else {}))
-              for name, fn, _ in stage_table() if name != "compare" or len(config.windows) == 2}
+    stages, seconds = {}, {}
+    for name, fn, _ in stage_table():
+        # compare diffs the period networks, so a run compares only when there are two
+        if name == "compare" and len(config.windows) != 2:
+            continue
+        start = perf_counter()
+        stages[name] = run_stage(name, fn, config, **({"state": state} if name in STATEFUL else {}))
+        seconds[name] = perf_counter() - start
 
     manifest = {
         "artifact": {"name": "cowordmap", "version": __version__},
         "config": config.echo(),
         "inputs": digests,
         "stages": stages,
-        "timestamps": {"started": started, "finished": datetime.now(timezone.utc).isoformat()},
+        # wall times vary from run to run, so they sit with the timestamps: the rest
+        # of the manifest is the same on every run of the same inputs
+        "timestamps": {"started": started, "finished": datetime.now(timezone.utc).isoformat(),
+                       "stage_seconds": seconds},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     with artifact_writer(config.out_dir / MANIFEST_FILE) as fh:

@@ -9,8 +9,11 @@ from each of two classification schemes, applied manually upstream.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError, artifact_reader, artifact_writer, content_lines
 
@@ -60,8 +63,9 @@ class PeriodWindow:
         return self.start_year <= other.end_year and other.start_year <= self.end_year
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
+    """One row of the records file; a named tuple, so tallies over records run in ``map`` and ``Counter``."""
+
     id: str
     source: str
     year: int
@@ -100,12 +104,13 @@ def parse_records(
 ) -> RecordSet:
     """Parse and validate the records CSV at ``path``.
 
-    Row order is preserved. Keywords are split on ";" and trimmed; empty
-    segments (e.g. a trailing ";") are dropped. Every validation error names
-    the line it came from.
+    Row order is preserved. Every cell is trimmed; keywords are split on ";"
+    and trimmed, and empty segments (e.g. a trailing ";") are dropped. Every
+    validation error names the line it came from.
     """
     path = Path(path)
     scheme_a, scheme_b = schemes
+    labels_a, labels_b = frozenset(scheme_a.labels), frozenset(scheme_b.labels)
     records: list[Record] = []
     seen: dict[str, int] = {}
     with artifact_reader(path, "records file ") as fh:
@@ -122,7 +127,7 @@ def parse_records(
             line = reader.line_num
             if len(row) != len(RECORDS_HEADER):
                 raise InputError(f"{path}:{line}: expected {len(RECORDS_HEADER)} fields, got {len(row)}")
-            rid, source, year_text, title, class_a, class_b, keywords = (cell.strip() for cell in row)
+            rid, source, year_text, title, class_a, class_b, keywords = map(str.strip, row)
             if not rid:
                 raise InputError(f"{path}:{line}: field 'id' is empty")
             if rid in seen:
@@ -139,30 +144,27 @@ def parse_records(
                     f"{path}:{line}: field 'year' {year} outside corpus range "
                     f"{year_range[0]}-{year_range[1]}"
                 )
-            if class_a and class_a not in scheme_a:
+            if class_a and class_a not in labels_a:
                 raise InputError(
                     f"{path}:{line}: field 'class_a' label '{class_a}' not in scheme '{scheme_a.name}'"
                 )
-            if class_b and class_b not in scheme_b:
+            if class_b and class_b not in labels_b:
                 raise InputError(
                     f"{path}:{line}: field 'class_b' label '{class_b}' not in scheme '{scheme_b.name}'"
                 )
-            kw = tuple(k.strip() for k in keywords.split(";") if k.strip())
-            records.append(
-                Record(rid, source, year, title, class_a or None, class_b or None, kw)
-            )
+            records.append(Record(rid, source, year, title, class_a or None, class_b or None,
+                                  tuple(filter(None, map(str.strip, keywords.split(";"))))))
     return RecordSet(tuple(records))
 
 
 def write_records(rs: RecordSet, path: str | Path) -> None:
-    """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8)."""
+    """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8).
+
+    The csv module writes a missing class (None) as an empty cell."""
     with artifact_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER)
-        for r in rs:
-            writer.writerow(
-                [r.id, r.source, str(r.year), r.title, r.class_a or "", r.class_b or "", "; ".join(r.raw_keywords)]
-            )
+        writer.writerows((*r[:6], "; ".join(r.raw_keywords)) for r in rs)
 
 
 def filter_records(
@@ -171,11 +173,12 @@ def filter_records(
     years: PeriodWindow | None = None,
 ) -> RecordSet:
     """Subset of ``rs`` matching every given predicate; the input is untouched."""
-    return RecordSet(tuple(
-        r
-        for r in rs
-        if (source is None or r.source == source) and (years is None or r.year in years)
-    ))
+    records = rs.records
+    if source is not None:
+        records = [r for r in records if r.source == source]
+    if years is not None:
+        records = [r for r in records if r.year in years]
+    return RecordSet(tuple(records))
 
 
 def check_disjoint(windows: tuple[PeriodWindow, ...] | list[PeriodWindow]) -> None:
@@ -194,11 +197,11 @@ def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]
     """
     check_disjoint(windows)
     buckets: list[list[Record]] = [[] for _ in windows]
+    # each distinct year is looked up once; a year outside every window gets a list of its own
+    bucket_of = {year: next((b for w, b in zip(windows, buckets) if year in w), [])
+                 for year in set(map(attrgetter("year"), rs))}
     for r in rs:
-        for i, w in enumerate(windows):
-            if r.year in w:
-                buckets[i].append(r)
-                break
+        bucket_of[r.year].append(r)
     return [RecordSet(tuple(bucket)) for bucket in buckets]
 
 
@@ -216,17 +219,13 @@ def class_distribution(rs: RecordSet, scheme: ClassScheme, which: str = "a") -> 
     row, appended only when present. Percents are rounded half-up and may not
     sum to 100; counts always sum to ``len(rs)``.
     """
-    getter = (lambda r: r.class_a) if which == "a" else (lambda r: r.class_b)
-    counts = {label: 0 for label in scheme.labels}
-    unclassified = 0
-    for r in rs:
-        label = getter(r)
-        if label is None:
-            unclassified += 1
-        else:
-            counts[label] += 1
+    tally = Counter(map(attrgetter("class_a" if which == "a" else "class_b"), rs))
+    unclassified = tally.pop(None, 0)
+    counts = [tally.pop(label, 0) for label in scheme.labels]
+    if tally:
+        raise KeyError(f"class label '{min(tally)}' not in scheme '{scheme.name}'")
     total = len(rs)
-    rows = [(label, counts[label], percent_round_half_up(counts[label], total)) for label in scheme.labels]
+    rows = [(label, count, percent_round_half_up(count, total)) for label, count in zip(scheme.labels, counts)]
     if unclassified:
         rows.append((UNCLASSIFIED, unclassified, percent_round_half_up(unclassified, total)))
     return rows
@@ -240,15 +239,16 @@ def class_crosstab(rs: RecordSet, a: ClassScheme, b: ClassScheme):
     an "(unclassified)" entry only when some record needs it, so the marginals
     always match the two distributions.
     """
-    need_row_u = any(r.class_a is None for r in rs)
-    need_col_u = any(r.class_b is None for r in rs)
+    tally = Counter(map(attrgetter("class_a", "class_b"), rs))
+    need_row_u = any(label_a is None for label_a, _ in tally)
+    need_col_u = any(label_b is None for _, label_b in tally)
     row_labels = list(a.labels) + ([UNCLASSIFIED] if need_row_u else [])
     col_labels = list(b.labels) + ([UNCLASSIFIED] if need_col_u else [])
     row_index = {label: i for i, label in enumerate(row_labels)}
     col_index = {label: j for j, label in enumerate(col_labels)}
     counts = [[0] * len(col_labels) for _ in row_labels]
-    for r in rs:
-        i = row_index[r.class_a if r.class_a is not None else UNCLASSIFIED]
-        j = col_index[r.class_b if r.class_b is not None else UNCLASSIFIED]
-        counts[i][j] += 1
+    for (label_a, label_b), count in tally.items():
+        i = row_index[label_a if label_a is not None else UNCLASSIFIED]
+        j = col_index[label_b if label_b is not None else UNCLASSIFIED]
+        counts[i][j] += count
     return row_labels, col_labels, counts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from pathlib import Path
 
 from .clusters import ClusterSummary, format_legend
@@ -23,7 +24,7 @@ def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None
     write_csv(path, ["descriptor", "count"], freq)
 
 
-def write_descriptors_csv(rows: list[tuple[str, str]], path: str | Path) -> None:
+def write_descriptors_csv(rows: Iterable[tuple[str, str]], path: str | Path) -> None:
     write_csv(path, ["record_id", "descriptor"], rows)
 
 

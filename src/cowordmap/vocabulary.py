@@ -12,6 +12,8 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import InputError, content_lines
@@ -112,30 +114,27 @@ def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> O
     become their own match-key when ``passthrough`` is on, and are dropped
     from the descriptor sets otherwise; either way they are tallied in
     ``unmapped``. Duplicates within a record collapse to one. Each distinct
-    raw keyword is looked up once per call.
+    raw keyword is looked up once per call; the records' sets and the totals
+    are then built by ``map`` and ``Counter`` over those lookups.
     """
-    per_record: dict[str, frozenset[str]] = {}
-    totals: Counter[str] = Counter()
+    keywords = list(map(attrgetter("raw_keywords"), rs))
+    raw_counts = Counter(chain.from_iterable(keywords))
+    descriptor: dict[str, str | None] = {}
     unmapped: Counter[str] = Counter()
-    looked_up: dict[str, tuple[str, str | None]] = {}
-    tokens = 0
-    for record in rs:
-        found = set()
-        for raw in record.raw_keywords:
-            hit = looked_up.get(raw)
-            if hit is None:
-                key = match_key(raw)
-                hit = looked_up[raw] = (key, table.get(key))
-            key, canonical = hit
-            if canonical is None:
-                unmapped[key] += 1
-                if not passthrough:
-                    continue
-                canonical = key
-            tokens += 1
-            found.add(canonical)
-        per_record[record.id] = frozenset(found)
-        totals.update(found)
+    for raw, n in raw_counts.items():
+        key = match_key(raw)
+        canonical = table.get(key)
+        if canonical is None:
+            unmapped[key] += n
+            canonical = key if passthrough else None
+        descriptor[raw] = canonical
+    sets = [frozenset(map(descriptor.__getitem__, kws)) for kws in keywords]
+    tokens = raw_counts.total()
+    if not passthrough:
+        sets = [s - {None} if None in s else s for s in sets]
+        tokens -= unmapped.total()
+    per_record = dict(zip(map(attrgetter("id"), rs), sets))
+    totals = Counter(chain.from_iterable(sets))
     return OccurrenceIndex(per_record, dict(totals), dict(unmapped), tokens)
 
 

@@ -54,6 +54,26 @@ def descriptor_sets(rows: list[dict], mapping: dict[str, str]) -> dict[str, set[
     return out
 
 
+def normalize_tallies(keywords: dict[str, list[str]], mapping: dict[str, str], passthrough: bool):
+    """(descriptor sets, totals, unmapped counts by match-key, kept tokens) of
+    each record's raw keywords, one keyword at a time."""
+    sets, unmapped, tokens = {}, Counter(), 0
+    for rid, raws in keywords.items():
+        found = set()
+        for raw in raws:
+            k = key_of(raw)
+            if k in mapping:
+                found.add(mapping[k])
+                tokens += 1
+                continue
+            unmapped[k] += 1
+            if passthrough:
+                found.add(k)
+                tokens += 1
+        sets[rid] = found
+    return sets, occurrence_totals(sets), unmapped, tokens
+
+
 def occurrence_totals(sets: dict[str, set[str]]) -> Counter:
     totals = Counter()
     for s in sets.values():

@@ -269,8 +269,9 @@ def test_fixture_layout_beats_circle_and_descent_oracle(fixture_network):
     initial = lm.stress_history[0][0]
     assert lm.final_stress <= initial
 
-    # independent oracle: plain gradient descent with backtracking from the
-    # same circle start, using finite-difference gradients only
+    # independent oracle: plain gradient descent with backtracking from a
+    # circle start (the layout itself starts from classical MDS), using
+    # finite-difference gradients only
     m = len(comp)
     radius = float(d.max()) / 2.0
     angles = 2.0 * np.pi * np.arange(m) / m

@@ -123,6 +123,20 @@ def test_rerun_is_byte_identical(tmp_path):
             assert first[name] == second[name], name
 
 
+def test_manifest_times_each_stage_among_its_timestamps(tmp_path):
+    config = fixture_config(tmp_path / "out")
+    manifests = []
+    for _ in range(2):
+        run_pipeline(config)
+        manifests.append((config.out_dir / MANIFEST_FILE).read_bytes())
+        manifest = json.loads(manifests[-1])
+        seconds = manifest["timestamps"]["stage_seconds"]
+        assert set(seconds) == set(manifest["stages"]) == {name for name, _, _ in stage_table()}
+        assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
+    # the timestamps are the only part of a manifest that differs between two runs
+    assert without_timestamps(manifests[0]) == without_timestamps(manifests[1])
+
+
 def test_stage_isolation_matches_full_run(tmp_path, capsys):
     full = tmp_path / "full"
     staged = tmp_path / "staged"

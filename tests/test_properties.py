@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -297,6 +298,36 @@ def test_normalize_idempotent(tmp_path_factory, table_pairs, data):
     second = normalize(canonical, table)
     assert second.per_record == first.per_record
     assert second.totals == first.totals
+
+
+_base_word = st.text(alphabet="abcéç ", min_size=1, max_size=8).map(lambda s: " ".join(s.split())).filter(bool)
+_spellings = {
+    "as is": lambda w: w,
+    "upper": str.upper,
+    "title": str.title,
+    "spaced": lambda w: "  " + w.replace(" ", " \t ") + " ",
+    "nfd": lambda w: unicodedata.normalize("NFD", w.upper()),
+}
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_base_word, min_size=1, max_size=6, unique_by=str.casefold), st.booleans(), st.data())
+def test_normalize_matches_brute_force_oracle(tmp_path_factory, words, passthrough, data):
+    # keywords are case, whitespace and NFD spellings of a few words, some mapped
+    # to canonical descriptors and some not, repeated within and across records
+    mapped = data.draw(st.dictionaries(st.sampled_from(words), st.text(alphabet="XYZW", min_size=1, max_size=4)))
+    path = tmp_path_factory.mktemp("prop") / "mapping.txt"
+    path.write_text("".join(f"{raw} -> {canon}\n" for raw, canon in mapped.items()), encoding="utf-8")
+    spelled = st.builds(lambda w, how: _spellings[how](w), st.sampled_from(words + sorted(set(mapped.values()))),
+                        st.sampled_from(sorted(_spellings)))
+    keywords = {f"r{i}": kws for i, kws in enumerate(data.draw(st.lists(st.lists(spelled, max_size=7), max_size=8)))}
+    rs = RecordSet(tuple(Record(rid, "BAD", 2005, "", None, None, tuple(kws)) for rid, kws in keywords.items()))
+    idx = normalize(rs, load_mapping(path), passthrough)
+    sets, totals, unmapped, tokens = oracles.normalize_tallies(keywords, oracles.read_mapping_pairs(path), passthrough)
+    assert idx.per_record == {rid: frozenset(s) for rid, s in sets.items()}
+    assert idx.totals == dict(totals)
+    assert idx.unmapped == dict(unmapped)
+    assert idx.token_count == tokens
 
 
 @PROPERTY_SETTINGS

@@ -80,6 +80,28 @@ def test_parse_errors_name_lines(tmp_path):
         parse_records(tmp_path / "absent.csv", (SCHEME_X, SCHEME_Y))
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("id,source,year,title,class_a,class_b\na,BAD,2004,T,,\n", 1, "bad header 'id,source,year,title,class_a,class_b'"),
+    (HEADER + "a,BAD,2004,T,,,k\n ,BAD,2004,T,,,k\n", 3, "field 'id' is empty"),
+    (HEADER + "a, ,2004,T,,,k\n", 2, "field 'source' is empty"),
+    (HEADER + "a,BAD,2004,T,X,P,k\nb,BAD,2004,T,X,Nope,k\n", 3,
+     "field 'class_b' label 'Nope' not in scheme 'y'"),
+])
+def test_parse_error_names_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "records.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        parse_records(path, (SCHEME_X, SCHEME_Y))
+    assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_parse_keyword_cell_of_separators_only_is_empty(tmp_path):
+    path = write_corpus(tmp_path, 'a,BAD,2004,T,,,"; ;;  ;"\nb,BAD,2004,T,,," x ;; y;"\n')
+    a, b = parse_records(path, (SCHEME_X, SCHEME_Y))
+    assert a.raw_keywords == ()
+    assert b.raw_keywords == ("x", "y")
+
+
 def test_year_range_override(tmp_path):
     path = write_corpus(tmp_path, "a,BAD,1999,T,,,k\n")
     rs = parse_records(path, (SCHEME_X, SCHEME_Y), year_range=(1990, 2020))
@@ -154,6 +176,14 @@ def test_distribution_exact_division():
 def test_distribution_empty_set():
     scheme = ClassScheme("s", ("X", "Y"))
     assert class_distribution(RecordSet(()), scheme) == [("X", 0, 0), ("Y", 0, 0)]
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_distribution_rejects_label_outside_scheme(which):
+    # records built by hand skip parse_records' scheme check; the tally must not drop the label
+    rs = RecordSet((Record("r0", "BAD", 2005, "", "X", "X", ()), Record("r1", "BAD", 2005, "", "Nope", "Nope", ())))
+    with pytest.raises(KeyError, match="'Nope' not in scheme 's'"):
+        class_distribution(rs, ClassScheme("s", ("X", "Y")), which)
 
 
 def test_distribution_fixture_matches_spreadsheet_tally(schemes, fixture_records):
