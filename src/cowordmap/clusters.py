@@ -106,30 +106,31 @@ def _local_moving(b: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
     n = b.shape[0]
     k = b.sum(axis=1)
     two_m = float(k.sum())
-    comm = np.arange(n)
     if two_m == 0.0:
-        return comm, 0
+        return np.arange(n), 0
     m = two_m / 2.0
+    links = [list(zip(np.flatnonzero(r).tolist(), r[r != 0].tolist())) for r in b]  # (u, b[v, u]), u ascending
+    loops, degree = np.diag(b).tolist(), k.tolist()
+    comm = list(range(n))
     moved = True
     sweeps = 0
     while moved and sweeps < MAX_SWEEPS:
         moved = False
         sweeps += 1
-        sigma = np.bincount(comm, weights=k, minlength=n)  # total degree per community id
+        sigma = np.bincount(comm, weights=k, minlength=n).tolist()  # total degree per community id
         for v in range(n):
-            cur = int(comm[v])
-            kv = float(k[v])
+            cur = comm[v]
+            kv = degree[v]
             sigma[cur] -= kv
-            row = b[v]
-            link = np.bincount(comm, weights=row, minlength=n)
-            link[cur] -= row[v]  # exclude the self-loop from "links into cur"
-            stay = link[cur] / m - gamma * sigma[cur] * kv / (2.0 * m * m)
+            link: dict[int, float] = {}
+            for u, w in links[v]:
+                c = comm[u]
+                link[c] = link.get(c, 0.0) + w
+            # exclude the self-loop from "links into cur"
+            stay = (link.pop(cur, 0.0) - loops[v]) / m - gamma * sigma[cur] * kv / (2.0 * m * m)
             best_c = cur
             best_gain = stay + 1e-12 * (1.0 + gamma) * kv / m
-            for c in np.nonzero(link > 0)[0]:  # ascending, so a tie keeps the lowest id
-                c = int(c)
-                if c == cur:
-                    continue
+            for c in sorted(link):  # ascending, so a tie keeps the lowest id
                 gain = link[c] / m - gamma * sigma[c] * kv / (2.0 * m * m)
                 if gain > best_gain:
                     best_gain = gain
@@ -138,7 +139,7 @@ def _local_moving(b: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
             sigma[best_c] += kv
             if best_c != cur:
                 moved = True
-    return comm, sweeps
+    return np.array(comm), sweeps
 
 
 def _louvain(b: np.ndarray, gamma: float) -> tuple[np.ndarray, list[int]]:

@@ -31,17 +31,27 @@ def format_pajek_net(net: CoNetwork, layout: LayoutMap | None = None) -> str:
     """Render the network as Pajek text; coordinates only when a layout is given."""
     if layout is not None and layout.coords.shape[0] != net.n_vertices:
         raise ValueError("layout does not cover all vertices")
+    coords = [""] * net.n_vertices if layout is None else [f" {xy}" for xy in _xy(layout)]
     lines = [f"*Vertices {net.n_vertices}"]
-    for i, label in enumerate(net.labels):
-        if layout is None:
-            lines.append(f"{i + 1} {_quote(label)}")
-        else:
-            x, y = layout.coords[i]
-            lines.append(f"{i + 1} {_quote(label)} {x:.6f} {y:.6f}")
+    lines.extend(f"{i + 1} {_quote(label)}{xy}" for i, (label, xy) in enumerate(zip(net.labels, coords)))
     lines.append("*Edges")
     for i, j, c in sorted(net.edges):
         lines.append(f"{i + 1} {j + 1} {c}")
     return "\n".join(lines) + "\n"
+
+
+def _xy(layout: LayoutMap) -> list[str]:
+    """Each vertex's "x y" as a .net file holds it: six decimals."""
+    return [f"{x:.6f} {y:.6f}" for x, y in layout.coords.tolist()]
+
+
+def _read_layout(coords: list[tuple[float, float]]) -> LayoutMap:
+    return LayoutMap(coords, final_stress=None, normalized=all(0.0 <= v <= 1.0 for xy in coords for v in xy))
+
+
+def stored_layout(layout: LayoutMap) -> LayoutMap:
+    """The layout as ``read_pajek_net`` reads back what ``write_pajek_net`` wrote."""
+    return _read_layout([tuple(map(float, xy.split())) for xy in _xy(layout)])
 
 
 def write_pajek_net(net: CoNetwork, layout: LayoutMap | None, path: str | Path) -> None:
@@ -144,11 +154,7 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
     net = CoNetwork(tuple(labels), None, tuple(sorted((i, j, w) for (i, j), w in edges.items())))
     layout = None
     if n > 0 and all(c is not None for c in coords):
-        import numpy as np
-
-        arr = np.array(coords, dtype=np.float64)
-        in_unit = bool((arr >= 0.0).all() and (arr <= 1.0).all())
-        layout = LayoutMap(arr, final_stress=None, normalized=in_unit)
+        layout = _read_layout(coords)
     elif any(c is not None for c in coords):
         raise InputError(f"{path}: coordinates must be on all vertices or none")
     return net, layout

@@ -8,11 +8,10 @@ corpus scale everything should be inspectable and diffable. Each is written
 whole or not at all (``errors.artifact_writer``): a failed stage leaves no
 truncated file.
 
-``run`` parses the records once. Its ``RunState`` hands ingest's records to
-report, normalize and net, and normalize's per-record descriptor sets to
-net, in memory; net drops both before it counts pairs. A subcommand has no
-state and reads the same data back from records.csv and descriptors.csv, so
-running the stages one by one gives the same bytes as a full run.
+``run`` parses the records once and reads back nothing it wrote: its
+``RunState`` hands each stage's results on in memory, as a later stage
+would read them from the files. A subcommand has no state and reads the
+files, so running the stages one by one gives the same bytes as a full run.
 
 Keywords are normalized once, by ``normalize``. ``net`` builds a period
 network per configured window from the descriptor sets, and the network as
@@ -39,9 +38,9 @@ from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
 from .errors import InputError, StageError, artifact_reader, artifact_writer
-from .layout import LayoutParams, layout_network
+from .layout import LayoutMap, LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, sum_networks, threshold_filter
-from .pajek import read_pajek_clu, read_pajek_net, representable, write_pajek_clu, write_pajek_net
+from .pajek import read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu, write_pajek_net
 from .records import (
     DEFAULT_YEAR_RANGE,
     ClassScheme,
@@ -172,15 +171,18 @@ def _schemes(config: RunConfig) -> tuple[ClassScheme, ClassScheme]:
 
 @dataclass
 class RunState:
-    """What one ``run_pipeline`` call hands from stage to stage in memory.
-
-    ``records`` is ingest's filtered set and ``sets`` normalize's non-empty
-    per-record descriptor sets: the data records.csv and descriptors.csv
-    hold. Net takes both. A stage called without a state reads the files.
-    """
+    """What one ``run_pipeline`` call hands from stage to stage in memory, as
+    a later stage would read it back: ``records`` (records.csv) and ``sets``
+    (descriptors.csv), which net drops; ``net`` (vertices.csv, edges.csv),
+    ``periods`` (the period .net files), ``partition`` (network.clu) and
+    ``layout`` (network.net). A stage called without a state reads files."""
 
     records: RecordSet | None = None
     sets: dict[str, frozenset[str]] | None = None
+    net: CoNetwork | None = None
+    periods: list[CoNetwork] | None = None
+    partition: ClusterPartition | None = None
+    layout: LayoutMap | None = None
 
 
 def _ingested(config: RunConfig, state: RunState | None) -> RecordSet:
@@ -241,14 +243,19 @@ def _read_network(config: RunConfig) -> CoNetwork:
     epath = _require(config.out_dir / EDGES_FILE, "net")
     vertices = list(_csv_rows(vpath, str, _count))
     edges = list(_csv_rows(epath, str, str, _count))
-    if not vertices:
-        raise InputError("thresholded network is empty; lower --min-occ")
     try:
         return make_network(vertices, edges)
     except KeyError as exc:
         raise InputError(f"{epath}: edge end {exc} is not a vertex of {vpath}") from None
     except ValueError as exc:
         raise InputError(f"{vpath}, {epath}: {exc}") from None
+
+
+def _thresholded(config: RunConfig, state: RunState | None) -> CoNetwork:
+    net = state.net if state is not None and state.net is not None else _read_network(config)
+    if net.n_vertices == 0:
+        raise InputError("thresholded network is empty; lower --min-occ")
+    return net
 
 
 # --- stages ------------------------------------------------------------------
@@ -356,11 +363,11 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
         state.records = state.sets = None
     if per_record is None:
         per_record = _read_descriptor_sets(sets_path)
-    nets = []
+    nets, kept = [], []
     for window, ids in zip(config.windows, periods):
         period = _cooccurrence_network({rid: per_record.pop(rid) for rid in ids if rid in per_record})
-        write_pajek_net(threshold_filter(period, config.min_occurrences), None,
-                        _period_net_path(config, window))
+        kept.append(threshold_filter(period, config.min_occurrences))
+        write_pajek_net(kept[-1], None, _period_net_path(config, window))
         nets.append(period)
     if per_record or not nets:
         nets.append(_cooccurrence_network(per_record))  # the records outside every window
@@ -369,6 +376,8 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)
     write_pajek_net(net, None, config.out_dir / NET_FILE)
+    if state is not None:
+        state.net, state.periods = net, kept
     return {
         "full_vertices": full.n_vertices,
         "full_edges": full.n_edges,
@@ -378,20 +387,24 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     }
 
 
-def stage_cluster(config: RunConfig) -> dict:
-    net = _read_network(config)
+def stage_cluster(config: RunConfig, *, state: RunState | None = None) -> dict:
+    net = _thresholded(config, state)
     partition = detect_clusters(net, config.resolution, config.use_similarity)
     write_pajek_clu(partition, config.out_dir / CLU_FILE)
+    if state is not None:
+        state.partition = partition
     freq = list(zip(net.labels, net.require_weights()))
     write_cluster_summary_csv(cluster_summary(partition, freq), config.out_dir / CLUSTER_SUMMARY_FILE)
     return {"clusters": partition.n_clusters, "modularity": partition.modularity,
             "sweeps": partition.sweeps, "settled": partition.settled}
 
 
-def stage_layout(config: RunConfig) -> dict:
-    net = _read_network(config)
+def stage_layout(config: RunConfig, *, state: RunState | None = None) -> dict:
+    net = _thresholded(config, state)
     layout = layout_network(net, config.layout)
     write_pajek_net(net, layout, config.out_dir / NET_FILE)
+    if state is not None:
+        state.layout = stored_layout(layout)  # map.svg is drawn from the coordinates network.net holds
     return {
         "iterations": layout.iterations,
         "sweeps": layout.sweeps,
@@ -400,34 +413,36 @@ def stage_layout(config: RunConfig) -> dict:
     }
 
 
-def stage_export(config: RunConfig) -> dict:
-    net_path = _require(config.out_dir / NET_FILE, "net")
-    net, layout = read_pajek_net(net_path)
-    if layout is None:
-        raise InputError(f"{net_path} has no coordinates; run the 'layout' stage first")
-    clu_path = _require(config.out_dir / CLU_FILE, "cluster")
-    assignment = read_pajek_clu(clu_path, net.n_vertices)
-    partition = ClusterPartition(assignment, 0.0)
-    vertices = _require(config.out_dir / VERTICES_FILE, "net")
-    freq = dict(_csv_rows(vertices, str, _count))
+def stage_export(config: RunConfig, *, state: RunState | None = None) -> dict:
+    if state is not None and state.layout is not None:
+        net, layout, partition, freq = state.net, state.layout, state.partition, {}  # sizes from net.weights
+    else:
+        net_path = _require(config.out_dir / NET_FILE, "net")
+        net, layout = read_pajek_net(net_path)
+        if layout is None:
+            raise InputError(f"{net_path} has no coordinates; run the 'layout' stage first")
+        clu_path = _require(config.out_dir / CLU_FILE, "cluster")
+        partition = ClusterPartition(read_pajek_clu(clu_path, net.n_vertices), 0.0)
+        freq = dict(_csv_rows(_require(config.out_dir / VERTICES_FILE, "net"), str, _count))
     write_label_map_svg(net, layout, partition, freq, config.out_dir / SVG_FILE, config.svg)
     return {"files": [SVG_FILE]}
 
 
 def stage_compare_windows(config: RunConfig, a: str | Path | None = None, b: str | Path | None = None,
-                          label_a: str | None = None, label_b: str | None = None) -> dict:
+                          label_a: str | None = None, label_b: str | None = None, *,
+                          state: RunState | None = None) -> dict:
     """Diff two Pajek networks into compare.csv: files ``a`` and ``b``, or
     the period networks of the two configured windows when neither is given.
     A side's label defaults to its window's label, or to its file's stem."""
     if (a is None) != (b is None):
         raise InputError("compare needs both --a and --b, or neither")
+    nets = state.periods if state is not None and a is None else None  # the period networks
     if a is None:
         if len(config.windows) != 2:
             raise InputError("compare needs exactly two configured windows, or --a and --b")
         a, b = (_period_net_path(config, w) for w in config.windows)
         label_a, label_b = label_a or config.windows[0].label, label_b or config.windows[1].label
-    net_a, _ = read_pajek_net(_require(Path(a), "net"))
-    net_b, _ = read_pajek_net(_require(Path(b), "net"))
+    net_a, net_b = nets or (read_pajek_net(_require(Path(path), "net"))[0] for path in (a, b))
     labels = (label_a or Path(a).stem, label_b or Path(b).stem)
     report = compare_networks(net_a, net_b, labels)
     write_compare_csv(report, config.out_dir / COMPARE_FILE)
@@ -443,7 +458,7 @@ def stage_compare_windows(config: RunConfig, a: str | Path | None = None, b: str
 
 
 def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
-    """(name, function, help) for every stage, in run order.
+    """(name, function, help) for every stage, in run order; each takes ``state=``.
 
     Built on each call, so the stage functions are looked up on this module
     when the table is used, not when it is imported.
@@ -458,10 +473,6 @@ def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
         ("export", stage_export, "render the SVG label map"),
         ("compare", stage_compare_windows, "diff two Pajek networks, by default the two period networks"),
     )
-
-
-# the stages that take a keyword-only ``state``: run hands them a RunState
-STATEFUL = ("ingest", "report", "normalize", "net")
 
 
 def run_stage(name: str, fn: Callable[..., dict], *args, **kwargs) -> dict:
@@ -489,6 +500,12 @@ def run_pipeline(config: RunConfig) -> dict:
     """Run every stage in order and write the manifest; returns the manifest."""
     started = datetime.now(timezone.utc).isoformat()
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = config.out_dir / MANIFEST_FILE
+    try:  # a run that fails leaves no earlier run's manifest beside its artifacts
+        if manifest_path.is_file():
+            manifest_path.unlink()
+    except OSError as exc:
+        raise InputError(f"cannot remove {manifest_path}: {exc}") from exc
 
     inputs = {"records": config.records, "mapping": config.mapping,
               "scheme_a": config.scheme_a_path(), "scheme_b": config.scheme_b_path()}
@@ -505,7 +522,7 @@ def run_pipeline(config: RunConfig) -> dict:
         if name == "compare" and len(config.windows) != 2:
             continue
         start = perf_counter()
-        stages[name] = run_stage(name, fn, config, **({"state": state} if name in STATEFUL else {}))
+        stages[name] = run_stage(name, fn, config, state=state)
         seconds[name] = perf_counter() - start
 
     manifest = {
@@ -519,6 +536,6 @@ def run_pipeline(config: RunConfig) -> dict:
                        "stage_seconds": seconds},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    with artifact_writer(config.out_dir / MANIFEST_FILE) as fh:
+    with artifact_writer(manifest_path) as fh:
         fh.write(text)
     return manifest

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .clusters import ClusterPartition
 from .errors import artifact_writer
@@ -87,7 +87,8 @@ def render_label_map_svg(
 
     coords = layout.coords if layout.normalized else normalize_unit_square(layout.coords)
     span = opts.size - 2 * MARGIN
-    px = [(MARGIN + c[0] * span, MARGIN + c[1] * span) for c in coords]
+    px = [(MARGIN + x * span, MARGIN + y * span) for x, y in coords.tolist()]
+    xs, ys = [f"{x:.2f}" for x, _ in px], [f"{y:.2f}" for _, y in px]  # once per vertex, not per edge end
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -99,23 +100,22 @@ def render_label_map_svg(
             continue
         width = EDGE_WIDTH_SCALE * math.log1p(c)
         out.append(
-            f'<line x1="{px[i][0]:.2f}" y1="{px[i][1]:.2f}" '
-            f'x2="{px[j][0]:.2f}" y2="{px[j][1]:.2f}" '
+            f'<line x1="{xs[i]}" y1="{ys[i]}" x2="{xs[j]}" y2="{ys[j]}" '
             f'stroke="#999999" stroke-opacity="0.6" stroke-width="{width:.2f}"/>'
         )
     radii = [_scaled(s, vmax, *RADIUS) for s in sizes]
     for i in range(n):
         color = PALETTE[(partition.assignment[i] - 1) % len(PALETTE)]
         out.append(
-            f'<circle cx="{px[i][0]:.2f}" cy="{px[i][1]:.2f}" r="{radii[i]:.2f}" '
+            f'<circle cx="{xs[i]}" cy="{ys[i]}" r="{radii[i]:.2f}" '
             f'fill="{color}" fill-opacity="0.85" stroke="#333333" stroke-width="0.5"/>'
         )
     for i in range(n):
         font = _scaled(sizes[i], vmax, *FONT)
         out.append(
-            f'<text x="{px[i][0]:.2f}" y="{px[i][1] - radii[i] - 2.0:.2f}" '
+            f'<text x="{xs[i]}" y="{px[i][1] - radii[i] - 2.0:.2f}" '
             f'font-family="sans-serif" font-size="{font:.1f}" '
-            f'text-anchor="middle">{escape(net.labels[i])}</text>'
+            f'text-anchor="middle">{escape(net.labels[i], quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -13,6 +13,8 @@ import unicodedata
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
 
 def key_of(raw: str) -> str:
     """Same match-key rule the mapping format documents: NFC, casefold, collapse."""
@@ -253,3 +255,46 @@ def stress_gradient_fd(pos, dmat, scale: float, h: float = 1e-6):
             work[v][axis] = orig
             grad[v][axis] = (up - down) / (2 * h)
     return grad
+
+
+def local_moving(b: np.ndarray, gamma: float, max_sweeps: int) -> tuple[np.ndarray, int]:
+    """One level of Louvain local moving, each vertex's links into every
+    community summed by ``np.bincount`` over its whole row (communities and
+    sweep count). Moves need a gain above staying by a rounding margin; ties
+    go to the lowest community id; at most ``max_sweeps`` sweeps."""
+    n = b.shape[0]
+    k = b.sum(axis=1)
+    two_m = float(k.sum())
+    comm = np.arange(n)
+    if two_m == 0.0:
+        return comm, 0
+    m = two_m / 2.0
+    moved = True
+    sweeps = 0
+    while moved and sweeps < max_sweeps:
+        moved = False
+        sweeps += 1
+        sigma = np.bincount(comm, weights=k, minlength=n)
+        for v in range(n):
+            cur = int(comm[v])
+            kv = float(k[v])
+            sigma[cur] -= kv
+            row = b[v]
+            link = np.bincount(comm, weights=row, minlength=n)
+            link[cur] -= row[v]
+            stay = link[cur] / m - gamma * sigma[cur] * kv / (2.0 * m * m)
+            best_c = cur
+            best_gain = stay + 1e-12 * (1.0 + gamma) * kv / m
+            for c in np.nonzero(link > 0)[0]:
+                c = int(c)
+                if c == cur:
+                    continue
+                gain = link[c] / m - gamma * sigma[c] * kv / (2.0 * m * m)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            comm[v] = best_c
+            sigma[best_c] += kv
+            if best_c != cur:
+                moved = True
+    return comm, sweeps

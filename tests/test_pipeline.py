@@ -137,17 +137,25 @@ def test_manifest_times_each_stage_among_its_timestamps(tmp_path):
     assert without_timestamps(manifests[0]) == without_timestamps(manifests[1])
 
 
-def test_stage_isolation_matches_full_run(tmp_path, capsys):
+# fixture runs: adjacent windows, and windows that leave records outside both
+RUN_FLAGS = {
+    "adjacent": ["--windows", "2001-2006,2007-2012"],
+    "gaps": ["--windows", "2001-2003,2010-2012", "--min-occ", "2"],
+}
+
+
+@pytest.mark.parametrize("flags", RUN_FLAGS.values(), ids=RUN_FLAGS.keys())
+def test_stage_isolation_matches_full_run(tmp_path, capsys, flags):
+    # a subcommand reads its inputs from the files, a run hands them on in memory
     full = tmp_path / "full"
     staged = tmp_path / "staged"
-    run_pipeline(fixture_config(full))
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), *flags]
+    assert main(["run", *args, "--out", str(full)]) == 0, capsys.readouterr().err
 
-    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(staged),
-            "--windows", "2001-2006,2007-2012"]
     names = [name for name, _, _ in stage_table()]
     assert names == ["ingest", "report", "normalize", "net", "cluster", "layout", "export", "compare"]
     for name in names:
-        assert main([name, *args]) == 0, capsys.readouterr().err
+        assert main([name, *args, "--out", str(staged)]) == 0, capsys.readouterr().err
 
     full_files = snapshot(full)
     staged_files = snapshot(staged)
@@ -155,6 +163,40 @@ def test_stage_isolation_matches_full_run(tmp_path, capsys):
     assert set(full_files) == set(staged_files)
     for name, data in full_files.items():
         assert staged_files[name] == data, name
+
+
+@pytest.mark.parametrize("flags", RUN_FLAGS.values(), ids=RUN_FLAGS.keys())
+def test_run_reads_nothing_back(tmp_path, capsys, monkeypatch, flags):
+    args = ["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), *flags]
+    assert main([*args, "--out", str(tmp_path / "ref")]) == 0, capsys.readouterr().err
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError(f"run read {args[0]} back")
+
+    for name in ("_read_network", "read_pajek_net", "read_pajek_clu", "_read_descriptor_sets", "_csv_rows"):
+        monkeypatch.setattr(pipeline, name, unexpected)
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+
+    def files(out):
+        found = snapshot(out)
+        manifest = without_timestamps(found.pop(MANIFEST_FILE))
+        manifest["config"].pop("out_dir")
+        return found, manifest
+
+    assert files(tmp_path / "out") == files(tmp_path / "ref")
+
+
+def test_failed_run_leaves_no_earlier_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out)]
+    assert main([*args, "--min-occ", "5"]) == 0
+    assert json.loads((out / MANIFEST_FILE).read_bytes())["config"]["min_occurrences"] == 5
+    capsys.readouterr()
+
+    assert main([*args, "--min-occ", "999"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error in stage 'cluster': thresholded network is empty; lower --min-occ"]
+    assert not (out / MANIFEST_FILE).exists()
 
 
 def test_missing_prior_stage_artifact_named(tmp_path):

@@ -8,12 +8,12 @@ import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cowordmap.cli import main
-from cowordmap.clusters import ClusterPartition, detect_clusters, modularity
+from cowordmap.clusters import MAX_SWEEPS, ClusterPartition, _local_moving, detect_clusters, modularity
 from cowordmap.network import (
     association_strength,
     build_network,
@@ -374,3 +374,30 @@ def test_cli_run_on_any_records_exits_zero_or_one(tmp_path_factory, data):
                      "--windows", "2001-2006,2007-2012"])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def level_matrices(draw) -> np.ndarray:
+    """A symmetric non-negative weight matrix as local moving sees it: small
+    integer weights (so gains tie), a nonzero diagonal (a self-loop, as at an
+    aggregated level), some all-zero rows, and at times a non-integer scale."""
+    n = draw(st.integers(1, 9))
+    first, second = np.triu_indices(n)
+    upper = draw(st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, 3)), min_size=first.size, max_size=first.size))
+    b = np.zeros((n, n))
+    b[first, second] = b[second, first] = upper
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    b[isolated, :] = b[:, isolated] = 0.0
+    return b * draw(st.sampled_from((1.0, 1.0, 0.1, 7.3)))
+
+
+@PROPERTY_SETTINGS
+@given(b=level_matrices(), gamma=st.floats(0.25, 4.0))
+# a vertex meets two tied communities higher id first; visiting them in the
+# order met, not ascending, breaks the tie the other way
+@example(b=np.array([[0, 0, 0, 3, 3, 0], [0, 0, 3, 2, 1, 1], [0, 3, 0, 2, 1, 2], [3, 2, 2, 2, 1, 0],
+                     [3, 1, 1, 1, 3, 0], [0, 1, 2, 0, 0, 3]], dtype=float), gamma=1.0)
+def test_local_moving_matches_the_whole_row_reference(b, gamma):
+    comm, sweeps = _local_moving(b, gamma)
+    expected_comm, expected_sweeps = oracles.local_moving(b, gamma, MAX_SWEEPS)
+    assert (comm.tolist(), sweeps) == (expected_comm.tolist(), expected_sweeps)

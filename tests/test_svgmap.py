@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_network
 from cowordmap.clusters import ClusterPartition, detect_clusters
@@ -135,6 +138,16 @@ def test_labels_escaped():
     text = render_label_map_svg(net, layout, ClusterPartition((1,), 0.0), {})
     assert "a&lt;b&gt;&amp;c" in text
     ET.fromstring(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.text(min_size=1, max_size=12))
+def test_label_text_is_escaped_as_xml_sax_escapes_it(label):
+    net = make_network([(label, 1)], [])
+    layout = LayoutMap(np.array([[0.5, 0.5]]), final_stress=0.0, normalized=True)
+    text = render_label_map_svg(net, layout, ClusterPartition((1,), 0.0), {})
+    shown = text.split('text-anchor="middle">', 1)[1].rsplit("</text>", 1)[0]
+    assert shown == sax_escape(label)
 
 
 def test_coverage_validation():
