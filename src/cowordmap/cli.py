@@ -20,6 +20,7 @@ import argparse
 import sys
 from collections.abc import Callable
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -192,10 +193,12 @@ def _warn(stage: str, stats: dict, config: RunConfig) -> None:
               f"before it settled ({stats['sweeps']} sweeps over all levels)", file=sys.stderr)
 
 
+_parser = cache(make_parser)  # built once per process; parsing leaves it as it was
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import CoNetwork, network_metrics
+from .network import CoNetwork, degrees, network_metrics
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ def _summary(net: CoNetwork, label: str) -> NetworkSummary:
 
 
 def _link_counts(net: CoNetwork) -> dict[str, int]:
-    counts = {label: 0 for label in net.labels}
-    for i, j, _ in net.edges:
-        counts[net.labels[i]] += 1
-        counts[net.labels[j]] += 1
-    return counts
+    return dict(zip(net.labels, degrees(net)))
 
 
 def compare_networks(a: CoNetwork, b: CoNetwork, labels: tuple[str, str] = ("a", "b")) -> CompareReport:

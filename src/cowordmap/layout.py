@@ -92,7 +92,7 @@ def graph_distances(net: CoNetwork) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """
     out = []
     for comp, sub in component_subnetworks(net):
-        d = edge_matrix(sub, [1.0 / c for _, _, c in sub.edges], np.inf)
+        d = edge_matrix(sub, 1.0 / sub.edge_array[:, 2], np.inf)
         out.append((comp, _kernels.floyd_warshall(d)))
     return out
 

@@ -5,6 +5,9 @@ descriptor set contains it). An undirected edge (i, j, c) counts the records
 containing both endpoints, so c never exceeds either endpoint weight. Vertex
 order is canonical: weight descending, ties by label.
 
+A network holds its edges once, as an (E, 3) int64 array of ``i, j, count``
+rows (``CoNetwork.edge_array``), and every operation here works on that
+array; the tuple of triples ``CoNetwork.edges`` is made only when asked for.
 ``build_network`` counts pairs in numpy: the pair (i, j), i < j, of an
 n-vertex network is the int64 code ``i * n + j``, so ascending codes are the
 edges in (i, j) order. The network of disjoint record groups is the sum of
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -26,9 +30,16 @@ from . import _kernels
 from .vocabulary import OccurrenceIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoNetwork:
     """Vertices with occurrence weights plus integer-weighted edges (i < j).
+
+    The edges are held once, in ``edge_array``: a read-only (E, 3) int64
+    array of ``i, j, count`` rows, checked when the network is made.
+    ``edges`` gives the same rows as a tuple of ``(i, j, count)`` triples,
+    built on first use. ``CoNetwork(labels, weights, edges)`` takes the edges
+    in either form and keeps a copy. Networks are equal when their labels,
+    weights and edge rows are.
 
     ``weights`` is None for networks read back from Pajek files, where
     occurrence counts are not serialized; operations that need them say so.
@@ -36,17 +47,42 @@ class CoNetwork:
 
     labels: tuple[str, ...]
     weights: tuple[int, ...] | None
-    edges: tuple[tuple[int, int, int], ...]
+    edge_array: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if self.weights is not None and len(self.weights) != n:
+    def __init__(self, labels: tuple[str, ...], weights: tuple[int, ...] | None, edges):
+        n = len(labels)
+        if weights is not None and len(weights) != n:
             raise ValueError("weights length does not match labels")
-        for i, j, c in self.edges:
+        rows = np.array(edges)  # a copy, which no caller can change
+        if rows.size == 0:
+            rows = np.zeros((0, 3), np.int64)
+        elif rows.ndim != 2 or rows.shape[1] != 3 or rows.dtype.kind not in "iu":
+            raise ValueError("edges must be integer (i, j, count) rows")
+        rows = rows.astype(np.int64, copy=False)
+        i, j, c = rows.T
+        bad = (i < 0) | (i >= j) | (j >= n) | (c <= 0)
+        if bad.any():
+            i, j, c = rows[bad.argmax()].tolist()  # the first bad row
             if not (0 <= i < j < n):
                 raise ValueError(f"bad edge endpoints ({i}, {j}) for {n} vertices")
-            if c <= 0:
-                raise ValueError(f"edge ({i}, {j}) has non-positive weight {c}")
+            raise ValueError(f"edge ({i}, {j}) has non-positive weight {c}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edge_array", rows)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoNetwork):
+            return NotImplemented
+        return (self.labels == other.labels and self.weights == other.weights
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.weights, self.edge_array.tobytes()))
 
     @property
     def n_vertices(self) -> int:
@@ -54,7 +90,7 @@ class CoNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def index_of(self, label: str) -> int:
         try:
@@ -105,8 +141,7 @@ def _from_codes(labels: list[str], totals: dict[str, int], codes: list[np.ndarra
     summed = np.zeros(codes.size, np.int64)
     np.add.at(summed, at, np.concatenate([np.zeros(0, np.int64), *counts]))
     i, j = np.divmod(codes, len(labels))
-    edges = tuple(zip(i.tolist(), j.tolist(), summed.tolist()))
-    return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
+    return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), np.column_stack((i, j, summed)))
 
 
 def build_network(idx: OccurrenceIndex) -> CoNetwork:
@@ -151,18 +186,21 @@ def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
     codes, counts = [], []
     for net in nets:
         new_id = np.fromiter(map(index.__getitem__, net.labels), np.int64, net.n_vertices)
-        i, j, c = np.fromiter(chain.from_iterable(net.edges), np.int64, 3 * net.n_edges).reshape(-1, 3).T
-        codes.append(np.minimum(new_id[i], new_id[j]) * len(labels) + np.maximum(new_id[i], new_id[j]))
-        counts.append(c)
+        i, j = new_id[net.edge_array[:, 0]], new_id[net.edge_array[:, 1]]
+        codes.append(np.minimum(i, j) * len(labels) + np.maximum(i, j))
+        counts.append(net.edge_array[:, 2])
     return _from_codes(labels, totals, codes, counts)
 
 
 def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:
     """The subnetwork on the ascending vertex indices ``keep``, renumbered in that order."""
-    remap = {old: new for new, old in enumerate(keep)}
-    weights = None if net.weights is None else tuple(net.weights[i] for i in keep)
-    edges = tuple((remap[i], remap[j], c) for i, j, c in net.edges if i in remap and j in remap)
-    return CoNetwork(tuple(net.labels[i] for i in keep), weights, edges)
+    new_id = np.full(net.n_vertices, -1, np.int64)
+    new_id[np.asarray(keep, np.intp)] = np.arange(len(keep))
+    i, j = new_id[net.edge_array[:, 0]], new_id[net.edge_array[:, 1]]
+    inside = (i >= 0) & (j >= 0)
+    edges = np.column_stack((i[inside], j[inside], net.edge_array[inside, 2]))
+    weights = None if net.weights is None else tuple(net.weights[v] for v in keep)
+    return CoNetwork(tuple(net.labels[v] for v in keep), weights, edges)
 
 
 def threshold_filter(net: CoNetwork, min_occ: int) -> CoNetwork:
@@ -191,9 +229,8 @@ def edge_matrix(net: CoNetwork, values: float | Sequence[float], fill: float = 0
     both ends of each edge, 0 on the diagonal and ``fill`` elsewhere."""
     m = np.full((net.n_vertices, net.n_vertices), fill)
     np.fill_diagonal(m, 0.0)
-    if net.edges:
-        i, j, _ = zip(*net.edges)
-        m[i, j] = m[j, i] = values
+    i, j = net.edge_array[:, 0], net.edge_array[:, 1]
+    m[i, j] = m[j, i] = values
     return m
 
 
@@ -206,13 +243,14 @@ def association_strength(net: CoNetwork) -> np.ndarray:
     weights = np.asarray(net.require_weights(), dtype=np.float64)
     if (weights <= 0).any():
         raise ValueError("association strength needs positive occurrence weights")
-    s = edge_matrix(net, [c / (weights[i] * weights[j]) for i, j, c in net.edges])
+    i, j, c = net.edge_array.T
+    s = edge_matrix(net, c / (weights[i] * weights[j]))
     s.flags.writeable = False
     return s
 
 
 def raw_weight_matrix(net: CoNetwork) -> np.ndarray:
-    w = edge_matrix(net, [c for _, _, c in net.edges])
+    w = edge_matrix(net, net.edge_array[:, 2])
     w.flags.writeable = False
     return w
 
@@ -226,7 +264,7 @@ def connected_components(net: CoNetwork) -> tuple[tuple[int, ...], ...]:
     """Vertex index groups, each sorted, ordered by smallest member."""
     n = net.n_vertices
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in net.edges:
+    for i, j in net.edge_array[:, :2].tolist():
         adj[i].append(j)
         adj[j].append(i)
     seen = [False] * n
@@ -253,6 +291,11 @@ def component_subnetworks(net: CoNetwork) -> list[tuple[tuple[int, ...], CoNetwo
     return [(comp, _induced(net, comp)) for comp in connected_components(net)]
 
 
+def degrees(net: CoNetwork) -> list[int]:
+    """Each vertex's number of incident edges."""
+    return np.bincount(net.edge_array[:, :2].ravel(), minlength=net.n_vertices).tolist()
+
+
 def network_metrics(net: CoNetwork) -> NetworkMetrics:
     """Degree centrality, within-component closeness, density, component count.
 
@@ -262,10 +305,7 @@ def network_metrics(net: CoNetwork) -> NetworkMetrics:
     n = net.n_vertices
     if n == 0:
         return NetworkMetrics((), (), 0.0, 0)
-    degree = [0] * n
-    for i, j, _ in net.edges:
-        degree[i] += 1
-        degree[j] += 1
+    degree = degrees(net)
     if n > 1:
         centrality = tuple(deg / (n - 1) for deg in degree)
         density = 2 * net.n_edges / (n * (n - 1))

@@ -35,7 +35,7 @@ def format_pajek_net(net: CoNetwork, layout: LayoutMap | None = None) -> str:
     lines = [f"*Vertices {net.n_vertices}"]
     lines.extend(f"{i + 1} {_quote(label)}{xy}" for i, (label, xy) in enumerate(zip(net.labels, coords)))
     lines.append("*Edges")
-    for i, j, c in sorted(net.edges):
+    for i, j, c in sorted(net.edge_array.tolist()):
         lines.append(f"{i + 1} {j + 1} {c}")
     return "\n".join(lines) + "\n"
 

@@ -4,13 +4,17 @@ Records live in one flat CSV file with the header
 ``id,source,year,title,class_a,class_b,keywords``; the keywords cell holds
 ";"-separated raw author keywords. Each record optionally carries one label
 from each of two classification schemes, applied manually upstream.
+``parse_records`` reads that file with the csv module; ``write_records``
+encodes it directly, to the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -97,6 +101,15 @@ def load_scheme(path: str | Path, name: str | None = None) -> ClassScheme:
     return ClassScheme(name or path.stem, tuple(labels))
 
 
+class _Stripped(dict):
+    """Text -> the one shared object equal to it stripped, made on first use."""
+
+    def __missing__(self, text: str) -> str:
+        stripped = text.strip()
+        self[text] = shared = self.setdefault(stripped, stripped)
+        return shared
+
+
 def parse_records(
     path: str | Path,
     schemes: tuple[ClassScheme, ClassScheme],
@@ -106,13 +119,17 @@ def parse_records(
 
     Row order is preserved. Every cell is trimmed; keywords are split on ";"
     and trimmed, and empty segments (e.g. a trailing ";") are dropped. Every
-    validation error names the line it came from.
+    validation error names the line it came from. Equal keywords, sources and
+    class labels are one shared string object across the records, and equal
+    years one int, so a corpus holds each distinct value once.
     """
     path = Path(path)
     scheme_a, scheme_b = schemes
     labels_a, labels_b = frozenset(scheme_a.labels), frozenset(scheme_b.labels)
     records: list[Record] = []
     seen: dict[str, int] = {}
+    shared = _Stripped().__getitem__  # one object per distinct keyword, source and class
+    years: dict[str, int] = {}  # each distinct year cell, parsed and checked once
     with artifact_reader(path, "records file ") as fh:
         reader = csv.reader(fh)
         try:
@@ -135,15 +152,18 @@ def parse_records(
             seen[rid] = line
             if not source:
                 raise InputError(f"{path}:{line}: field 'source' is empty")
-            try:
-                year = int(year_text)
-            except ValueError:
-                raise InputError(f"{path}:{line}: field 'year' is not an integer: {year_text!r}")
-            if year_range is not None and not (year_range[0] <= year <= year_range[1]):
-                raise InputError(
-                    f"{path}:{line}: field 'year' {year} outside corpus range "
-                    f"{year_range[0]}-{year_range[1]}"
-                )
+            year = years.get(year_text)
+            if year is None:
+                try:
+                    year = int(year_text)
+                except ValueError:
+                    raise InputError(f"{path}:{line}: field 'year' is not an integer: {year_text!r}")
+                if year_range is not None and not (year_range[0] <= year <= year_range[1]):
+                    raise InputError(
+                        f"{path}:{line}: field 'year' {year} outside corpus range "
+                        f"{year_range[0]}-{year_range[1]}"
+                    )
+                years[year_text] = year
             if class_a and class_a not in labels_a:
                 raise InputError(
                     f"{path}:{line}: field 'class_a' label '{class_a}' not in scheme '{scheme_a.name}'"
@@ -152,19 +172,52 @@ def parse_records(
                 raise InputError(
                     f"{path}:{line}: field 'class_b' label '{class_b}' not in scheme '{scheme_b.name}'"
                 )
-            records.append(Record(rid, source, year, title, class_a or None, class_b or None,
-                                  tuple(filter(None, map(str.strip, keywords.split(";"))))))
+            records.append(Record(rid, shared(source), year, title,
+                                  shared(class_a) if class_a else None, shared(class_b) if class_b else None,
+                                  tuple(filter(None, map(shared, keywords.split(";"))))))
     return RecordSet(tuple(records))
 
 
-def write_records(rs: RecordSet, path: str | Path) -> None:
-    """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8).
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of
+    several cells (QUOTE_MINIMAL): quoted, with '"' doubled, when it holds ',',
+    '"' or a line feed. Whether a bare carriage return is quoted depends on the
+    Python version, so such text goes through the csv module itself."""
+    if "\r" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((text, None))
+        return buffer.getvalue()[:-2]
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text:
+        return f'"{text}"'
+    return text
 
-    The csv module writes a missing class (None) as an empty cell."""
+
+class _Cells(dict):
+    """The CSV cell of each distinct value of a column, made on first use; None is empty."""
+
+    def __missing__(self, value) -> str:
+        self[value] = cell = "" if value is None else _csv_cell(str(value))
+        return cell
+
+
+def write_records(rs: RecordSet, path: str | Path) -> None:
+    """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8), with
+    the bytes ``csv.writer`` gives; a missing class (None) is an empty cell.
+
+    The rows are encoded here, not by the csv module: the source, year and
+    class cells are kept per distinct value, and the id, title and keywords
+    are quoted by ``_csv_cell``. The file is written a few thousand rows at a
+    time, so its whole text is never held in memory."""
+    cells = _Cells()
+    rows = iter(rs)
     with artifact_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDS_HEADER)
-        writer.writerows((*r[:6], "; ".join(r.raw_keywords)) for r in rs)
+        fh.write(",".join(RECORDS_HEADER) + "\n")
+        while chunk := list(islice(rows, 4096)):
+            fh.write("".join([f"{_csv_cell(rid)},{cells[source]},{cells[year]},{_csv_cell(title)},"
+                              f"{cells[a]},{cells[b]},{_csv_cell('; '.join(keywords))}\n"
+                              for rid, source, year, title, a, b, keywords in chunk]))
 
 
 def filter_records(

@@ -95,7 +95,7 @@ def render_label_map_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{opts.size}" height="{opts.size}" viewBox="0 0 {opts.size} {opts.size}">',
     ]
-    for i, j, c in net.edges:
+    for i, j, c in net.edge_array.tolist():
         if c < opts.edge_weight_floor:
             continue
         width = EDGE_WIDTH_SCALE * math.log1p(c)

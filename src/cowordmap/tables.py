@@ -95,7 +95,7 @@ def write_edges_csv(net: CoNetwork, path: str | Path) -> None:
     """Each edge once as (keyword1, keyword2, weight), labels ordered within
     the row and rows sorted ascending, the byte-stable edge-list form."""
     rows = []
-    for i, j, c in net.edges:
+    for i, j, c in net.edge_array.tolist():
         a, b = sorted((net.labels[i], net.labels[j]))
         rows.append((a, b, c))
     rows.sort()

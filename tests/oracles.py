@@ -11,7 +11,8 @@ import csv
 import math
 import unicodedata
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,3 +299,95 @@ def local_moving(b: np.ndarray, gamma: float, max_sweeps: int) -> tuple[np.ndarr
             if best_c != cur:
                 moved = True
     return comm, sweeps
+
+
+# --- the tuple-era network and records writer ---------------------------------
+
+
+class TupleNetwork(NamedTuple):
+    """A network as the package held one before its edge array: labels,
+    occurrence weights and a tuple of ``(i, j, count)`` edges."""
+
+    labels: tuple[str, ...]
+    weights: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+def edge_error(n: int, edges) -> str | None:
+    """The message for the first bad edge of an n-vertex network, checked one
+    edge at a time, endpoints before count; None when every edge is good."""
+    for i, j, c in edges:
+        if not (0 <= i < j < n):
+            return f"bad edge endpoints ({i}, {j}) for {n} vertices"
+        if c <= 0:
+            return f"edge ({i}, {j}) has non-positive weight {c}"
+    return None
+
+
+def _canonical_order(totals: dict[str, int]) -> list[str]:
+    return sorted(totals, key=lambda t: (-totals[t], t))
+
+
+def _from_codes(labels, totals, codes, counts) -> TupleNetwork:
+    codes, at = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]), return_inverse=True)
+    summed = np.zeros(codes.size, np.int64)
+    np.add.at(summed, at, np.concatenate([np.zeros(0, np.int64), *counts]))
+    i, j = np.divmod(codes, len(labels))
+    edges = tuple(zip(i.tolist(), j.tolist(), summed.tolist()))
+    return TupleNetwork(tuple(labels), tuple(totals[t] for t in labels), edges)
+
+
+def build_network(per_record: dict[str, frozenset[str]], totals: dict[str, int]) -> TupleNetwork:
+    """Pair counts of per-record descriptor sets over the descriptors with a
+    positive total, each k-descriptor block of records counted by np.unique."""
+    totals = {d: c for d, c in totals.items() if c > 0}
+    labels = _canonical_order(totals)
+    index = {t: i for i, t in enumerate(labels)}
+    sets = per_record.values()
+    owner = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.int64, len(sets)))
+    ids = np.fromiter(map(index.get, chain.from_iterable(sets), repeat(-1)), np.int32, owner.size)
+    owner, ids = owner[ids >= 0], ids[ids >= 0]
+    per_set = np.bincount(owner, minlength=len(sets))
+    size = per_set[owner]
+    codes, counts = [], []
+    for k in sorted(set(per_set.tolist()) - {0, 1}):
+        block = np.sort(ids[size == k].reshape(-1, k), axis=1)
+        first, second = np.triu_indices(k, 1)
+        group = np.unique(block[:, first].astype(np.int64) * len(labels) + block[:, second], return_counts=True)
+        codes.append(group[0])
+        counts.append(group[1])
+    return _from_codes(labels, totals, codes, counts)
+
+
+def sum_networks(nets) -> TupleNetwork:
+    """Weights summed by label, edge counts summed by label pair."""
+    nets = list(nets)
+    totals: Counter[str] = Counter()
+    for net in nets:
+        totals.update(dict(zip(net.labels, net.weights)))
+    labels = _canonical_order(totals)
+    index = {t: i for i, t in enumerate(labels)}
+    codes, counts = [], []
+    for net in nets:
+        new_id = np.fromiter(map(index.__getitem__, net.labels), np.int64, len(net.labels))
+        i, j, c = np.fromiter(chain.from_iterable(net.edges), np.int64, 3 * len(net.edges)).reshape(-1, 3).T
+        codes.append(np.minimum(new_id[i], new_id[j]) * len(labels) + np.maximum(new_id[i], new_id[j]))
+        counts.append(c)
+    return _from_codes(labels, totals, codes, counts)
+
+
+def threshold_filter(net: TupleNetwork, min_occ: int) -> TupleNetwork:
+    """The vertices of weight >= min_occ, renumbered in order, and the edges between them."""
+    keep = [i for i, w in enumerate(net.weights) if w >= min_occ]
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = tuple((remap[i], remap[j], c) for i, j, c in net.edges if i in remap and j in remap)
+    return TupleNetwork(tuple(net.labels[i] for i in keep), tuple(net.weights[i] for i in keep), edges)
+
+
+def write_records(records, path) -> None:
+    """Records (7-tuples, keywords last) as the csv module writes them: header,
+    then one row each with the keywords joined by "; "."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "source", "year", "title", "class_a", "class_b", "keywords"])
+        writer.writerows((*r[:6], "; ".join(r[6])) for r in records)

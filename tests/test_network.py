@@ -276,3 +276,22 @@ def test_external_network_guards():
     with pytest.raises(ValueError, match="no occurrence weights"):
         association_strength(external)
     assert network_metrics(external).components == 1  # structure-only metrics still work
+
+
+def test_edges_are_one_read_only_array_with_a_tuple_view():
+    from cowordmap.network import CoNetwork
+
+    rows = np.array([[0, 1, 2], [1, 2, 1]])
+    net = CoNetwork(("a", "b", "c"), (3, 2, 2), rows)
+    rows[0, 2] = 9  # the network keeps its own copy
+    assert net.edges == ((0, 1, 2), (1, 2, 1)) and net.n_edges == 2
+    assert net.edge_array.dtype == np.int64 and not net.edge_array.flags.writeable
+    same = CoNetwork(("a", "b", "c"), (3, 2, 2), ((0, 1, 2), (1, 2, 1)))
+    assert net == same and hash(net) == hash(same)
+    assert net != CoNetwork(("a", "b", "c"), (3, 2, 2), ((0, 1, 2),))
+    assert net != CoNetwork(("a", "b", "c"), None, net.edge_array)
+    assert CoNetwork(("a",), (1,), ()).edge_array.shape == (0, 3)
+    with pytest.raises(ValueError, match="integer"):
+        CoNetwork(("a", "b"), None, ((0, 1, 1.5),))
+    with pytest.raises(ValueError, match="integer"):
+        CoNetwork(("a", "b"), None, ((0, 1),))

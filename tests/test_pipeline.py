@@ -24,7 +24,7 @@ from cowordmap.pipeline import (
     stage_compare_windows,
     stage_table,
 )
-from cowordmap.network import build_network, threshold_filter
+from cowordmap.network import CoNetwork, build_network, threshold_filter
 from cowordmap.records import PeriodWindow, parse_records, split_periods
 from cowordmap.tables import write_csv
 from cowordmap.vocabulary import normalize
@@ -312,6 +312,27 @@ def test_cli_warns_when_clustering_stops_at_its_sweep_cap(tmp_path, capsys, monk
     assert capsys.readouterr().err.startswith("warning: clustering stopped at 1 local-moving sweeps")
 
 
+def test_main_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # the parser is built once per process: no call's flags carry into the next
+    from cowordmap import cli
+
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT)]
+    staged = tmp_path / "staged"
+    assert main(["ingest", *args, "--out", str(staged), "--min-occ", "2"]) == 0
+    assert main(["report", *args, "--out", str(staged), "--by", "source"]) == 0
+    assert sorted(p.name for p in staged.glob("class_*")) == ["class_a_by_source.csv", "class_b_by_source.csv"]
+    assert main(["run", *args, "--out", str(tmp_path / "run")]) == 0, capsys.readouterr().err
+    config = json.loads((tmp_path / "run" / MANIFEST_FILE).read_text(encoding="utf-8"))["config"]
+    assert (config["min_occurrences"], config["windows"]) == (5, [])
+    assert (tmp_path / "run" / "class_a_distribution.csv").exists()
+    capsys.readouterr()
+    assert main(["run", *args, "--nope"]) == 1
+    assert "unrecognized arguments: --nope" in capsys.readouterr().err
+    assert main(["report", *args, "--out", str(staged)]) == 0
+    assert (staged / "class_a_distribution.csv").exists()
+    assert cli._parser() is cli._parser()
+
+
 def test_cli_unknown_flag_exit_one(tmp_path, capsys):
     assert main(["run", "--nope"]) == 1
     assert "error" in capsys.readouterr().err
@@ -546,6 +567,16 @@ def test_run_counts_each_pair_once(tmp_path, monkeypatch, windows, builds):
     sets = oracles.descriptor_sets(oracles.read_fixture_rows(RECORDS_CSV), oracles.read_mapping_pairs(MAPPING_TXT))
     assert sum(counted) == sum(len(s) * (len(s) - 1) // 2 for s in sets.values())
     assert len(counted) == builds
+
+
+def test_run_makes_no_edge_tuples(tmp_path, monkeypatch):
+    # every network of a run keeps its edges in its array only
+    def unexpected(net):
+        raise AssertionError(f"tuple view of a {net.n_vertices}-vertex network")
+
+    monkeypatch.setattr(CoNetwork, "edges", property(unexpected))
+    manifest = run_pipeline(fixture_config(tmp_path / "out", windows=OUTSIDE_WINDOWS, min_occurrences=2))
+    assert manifest["stages"]["net"]["edges"] > 0
 
 
 def test_runs_in_one_process_share_nothing(tmp_path):

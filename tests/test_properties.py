@@ -8,6 +8,7 @@ import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ import oracles
 from cowordmap.cli import main
 from cowordmap.clusters import MAX_SWEEPS, ClusterPartition, _local_moving, detect_clusters, modularity
 from cowordmap.network import (
+    CoNetwork,
     association_strength,
     build_network,
     connected_components,
@@ -154,6 +156,21 @@ def test_parse_is_loss_free(tmp_path_factory, rs):
     assert parse_records(tmp / "two.csv", (SCHEME_A, SCHEME_B)).records == once.records
 
 
+# the characters csv quoting turns on, among any others
+_cell = st.text(alphabet=st.sampled_from(',"\r\n; é€') | st.characters(blacklist_categories=("Cs",)),
+                max_size=12)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.builds(Record, _cell, _cell, st.integers(0, 3000), _cell, st.none() | _cell,
+                          st.none() | _cell, st.lists(_cell, max_size=4).map(tuple)), max_size=8))
+def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records):
+    tmp = tmp_path_factory.mktemp("prop")
+    write_records(RecordSet(tuple(records)), tmp / "encoded.csv")
+    oracles.write_records(records, tmp / "csv_module.csv")
+    assert (tmp / "encoded.csv").read_bytes() == (tmp / "csv_module.csv").read_bytes()
+
+
 @PROPERTY_SETTINGS
 @given(occurrence_indexes())
 def test_pair_counting_identity_and_weight_bound(idx):
@@ -232,6 +249,57 @@ def test_group_networks_sum_to_one_build(idx, n_groups, data):
         sets = {rid: s for rid, s in idx.per_record.items() if group_of[rid] == g}
         nets.append(build_network(OccurrenceIndex(sets, dict(oracles.occurrence_totals(sets)), {}, 0)))
     assert sum_networks(iter(nets)) == build_network(idx)
+
+
+def as_tuples(net) -> oracles.TupleNetwork:
+    assert net.edge_array.dtype == np.int64 and net.edge_array.shape == (net.n_edges, 3)
+    assert not net.edge_array.flags.writeable
+    return oracles.TupleNetwork(net.labels, net.weights, net.edges)
+
+
+GROUPS = 3
+
+
+@PROPERTY_SETTINGS
+@given(loose_indexes(), st.lists(st.integers(0, GROUPS - 1), min_size=25, max_size=25), st.integers(1, 40))
+# empty and one-descriptor sets, a descriptor whose total is 0, a group with no
+# records, and a threshold above every weight
+@example(OccurrenceIndex({"r0": frozenset(), "r1": frozenset({"k0"}), "r2": frozenset({"k0", "k1", "k2"}),
+                          "r3": frozenset({"k1", "k2"})}, {"k0": 2, "k1": 0, "k2": 2}, {}, 0),
+         [0, 0, 1, 1] + [0] * 21, 99)
+def test_array_networks_match_the_tuple_reference(idx, group_of, min_occ):
+    # each disjoint record group, their sum and its threshold, against the
+    # tuple implementations these replaced; descriptors that idx.totals holds
+    # at 0 are at 0 in every group too
+    zero = {d for d, c in idx.totals.items() if c == 0}
+    nets, refs = [], []
+    for g in range(GROUPS):
+        sets = {rid: s for k, (rid, s) in enumerate(idx.per_record.items()) if group_of[k] == g}
+        totals = {d: 0 if d in zero else c for d, c in oracles.occurrence_totals(sets).items()}
+        nets.append(build_network(OccurrenceIndex(sets, totals, {}, 0)))
+        refs.append(oracles.build_network(sets, totals))
+        assert as_tuples(nets[-1]) == refs[-1]
+        assert as_tuples(threshold_filter(nets[-1], min_occ)) == oracles.threshold_filter(refs[-1], min_occ)
+    full, ref = sum_networks(nets), oracles.sum_networks(refs)
+    assert as_tuples(full) == ref
+    assert as_tuples(threshold_filter(full, min_occ)) == oracles.threshold_filter(ref, min_occ)
+
+
+_endpoint = st.integers(-2, 6)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 5), st.lists(st.tuples(_endpoint, _endpoint, st.integers(-2, 3)), max_size=6))
+def test_network_rejects_bad_edges_with_the_tuple_messages(n, edges):
+    labels = tuple(f"v{i}" for i in range(n))
+    message = oracles.edge_error(n, edges)
+    if message is None:
+        assert CoNetwork(labels, None, tuple(edges)).edges == tuple(edges)
+        return
+    for given_edges in (tuple(edges), np.array(edges, dtype=np.int64)):
+        with pytest.raises(ValueError) as err:
+            CoNetwork(labels, None, given_edges)
+        assert str(err.value) == message
 
 
 @PROPERTY_SETTINGS

@@ -43,6 +43,21 @@ def test_parse_single_row(tmp_path):
                        ("public libraries", "reading"))
 
 
+def test_parse_shares_equal_strings_across_records(tmp_path):
+    # equal keywords, sources and classes are one object each, however the
+    # cells were padded, so a corpus holds each distinct string once
+    path = write_corpus(tmp_path, "p1,BAD,2004,T,X,P,alpha; beta\n"
+                                  "p2, BAD ,2005,U, X ,P ,beta;alpha ;;  alpha\n"
+                                  "p3,WOS,2004,V,Y,,gamma; X\n")
+    one, two, three = parse_records(path, (SCHEME_X, SCHEME_Y)).records
+    assert two.raw_keywords == ("beta", "alpha", "alpha")
+    assert one.source is two.source and one.class_a is two.class_a and one.class_b is two.class_b
+    assert one.raw_keywords[0] is two.raw_keywords[1] is two.raw_keywords[2]
+    assert one.raw_keywords[1] is two.raw_keywords[0]
+    assert three.raw_keywords[1] is one.class_a  # one object per distinct string, whatever the field
+    assert three.year is one.year
+
+
 def test_parse_header_only_is_empty(tmp_path):
     rs = parse_records(write_corpus(tmp_path, ""), (SCHEME_X, SCHEME_Y))
     assert len(rs) == 0
