@@ -3,15 +3,16 @@
 One subcommand per entry of ``pipeline.stage_table`` (ingest, report,
 normalize, net, cluster, layout, export, compare), plus ``run`` for the
 whole chain; ``compare`` diffs ``--a``/``--b``, or the period networks of
-``net``. Each setting is one row of ``OPTIONS``: flag, ``--config`` key
-(``key = value`` lines; an unknown key is an error), field and help. A value
-comes from the flag, else the config file, else the field's default, which
-``--help`` shows. Exit codes: 0 success, 1 input error (a bad value names
-its flag and key; an input that cannot be read or decoded, or an output
-that cannot be written, names its file; files are written whole or not at
-all), 2 pipeline error; diagnostics go to stderr, and so does a warning
-when the layout did not converge or the clustering stopped at its sweep cap
-(the exit code stays 0).
+``net``. A subcommand reads its inputs from the files of the stages before
+it, a ``run`` hands them on in memory (``pipeline.RunState``). Each setting
+is one row of ``OPTIONS``: flag, ``--config`` key (``key = value`` lines; an
+unknown key is an error), field and help. A value comes from the flag, else
+the config file, else the field's default, which ``--help`` shows. Exit
+codes: 0 success, 1 input error (a bad value names its flag and key; an
+input that cannot be read or decoded, or an output that cannot be written,
+names its file; files are written whole or not at all), 2 pipeline error;
+diagnostics go to stderr, and so does a warning when the layout did not
+converge or the clustering stopped at its sweep cap (the exit code stays 0).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 from . import __version__, clusters
 from .errors import InputError, StageError, content_lines
 from .layout import LayoutParams
-from .pipeline import RunConfig, parse_windows, run_pipeline, run_stage, stage_table
+from .pipeline import RunConfig, RunState, parse_windows, run_pipeline, run_stage, stage_table
 from .svgmap import SvgOptions
 
 
@@ -217,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         fn = next(f for name, f, _ in stage_table() if name == args.command)
         extra = [getattr(args, flag[2:].replace("-", "_")) for flag, _ in STAGE_FLAGS.get(args.command, ())]
-        stats = run_stage(args.command, fn, config, *extra)
+        stats = run_stage(args.command, fn, config, *extra, state=RunState(config))
         summary = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"{args.command}: {summary}")
         _warn(args.command, stats, config)

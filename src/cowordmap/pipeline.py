@@ -8,10 +8,10 @@ corpus scale everything should be inspectable and diffable. Each is written
 whole or not at all (``errors.artifact_writer``): a failed stage leaves no
 truncated file.
 
-``run`` parses the records once and reads back nothing it wrote: its
-``RunState`` hands each stage's results on in memory, as a later stage
-would read them from the files. A subcommand has no state and reads the
-files, so running the stages one by one gives the same bytes as a full run.
+Each stage reads its inputs as fields of a ``RunState``: in memory when an
+earlier stage of the process set them, else from their files. So ``run``
+parses the records once and reads back nothing it wrote, and the stages run
+one by one, each a subcommand, give the same bytes as a full run.
 
 Keywords are normalized once, by ``normalize``. ``net`` builds a period
 network per configured window from the descriptor sets, and the network as
@@ -28,6 +28,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
 from operator import attrgetter
@@ -169,29 +170,6 @@ def _schemes(config: RunConfig) -> tuple[ClassScheme, ClassScheme]:
     )
 
 
-@dataclass
-class RunState:
-    """What one ``run_pipeline`` call hands from stage to stage in memory, as
-    a later stage would read it back: ``records`` (records.csv) and ``sets``
-    (descriptors.csv), which net drops; ``net`` (vertices.csv, edges.csv),
-    ``periods`` (the period .net files), ``partition`` (network.clu) and
-    ``layout`` (network.net). A stage called without a state reads files."""
-
-    records: RecordSet | None = None
-    sets: dict[str, frozenset[str]] | None = None
-    net: CoNetwork | None = None
-    periods: list[CoNetwork] | None = None
-    partition: ClusterPartition | None = None
-    layout: LayoutMap | None = None
-
-
-def _ingested(config: RunConfig, state: RunState | None) -> RecordSet:
-    if state is not None and state.records is not None:
-        return state.records
-    path = _require(config.out_dir / RECORDS_FILE, "ingest")
-    return parse_records(path, _schemes(config), config.year_range)
-
-
 def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
     return config.out_dir / f"period_{window.start_year}_{window.end_year}.net"
 
@@ -222,13 +200,8 @@ def _csv_rows(path: Path, *types: Callable[[str], object]):
 
 def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
     per_record: dict[str, set[str]] = {}
-    with artifact_reader(path) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if len(row) != 2:
-                raise InputError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-            per_record.setdefault(row[0], set()).add(row[1])
+    for rid, descriptor in _csv_rows(path, str, str):
+        per_record.setdefault(rid, set()).add(descriptor)
     return {rid: frozenset(s) for rid, s in per_record.items()}
 
 
@@ -243,6 +216,13 @@ def _read_network(config: RunConfig) -> CoNetwork:
     epath = _require(config.out_dir / EDGES_FILE, "net")
     vertices = list(_csv_rows(vpath, str, _count))
     edges = list(_csv_rows(epath, str, str, _count))
+    weights, seen = dict(vertices), set()
+    for a, b, c in edges:  # make_network sums a repeated pair and takes any count
+        if (a, b) in seen or (b, a) in seen:
+            raise InputError(f"{epath}: edge {a!r}-{b!r} is listed twice")
+        seen.add((a, b))
+        if c > min(weights.get(a, c), weights.get(b, c)):
+            raise InputError(f"{epath}: edge {a!r}-{b!r} counts {c}, more than an end's weight in {vpath}")
     try:
         return make_network(vertices, edges)
     except KeyError as exc:
@@ -251,17 +231,61 @@ def _read_network(config: RunConfig) -> CoNetwork:
         raise InputError(f"{vpath}, {epath}: {exc}") from None
 
 
-def _thresholded(config: RunConfig, state: RunState | None) -> CoNetwork:
-    net = state.net if state is not None and state.net is not None else _read_network(config)
-    if net.n_vertices == 0:
+class RunState:
+    """What the stages hand on, one field per artifact a later stage reads:
+    ``records`` (records.csv), ``sets`` (descriptors.csv), ``net`` (vertices.csv,
+    edges.csv), ``periods`` (the period .net files), ``partition`` (network.clu)
+    and ``layout`` (network.net). A stage sets what it made, as a later stage
+    would read it back; a field no stage has set is read from its file on
+    first use and kept, and a missing file names the stage that writes it."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+    @cached_property
+    def records(self) -> RecordSet:
+        path = _require(self.config.out_dir / RECORDS_FILE, "ingest")
+        return parse_records(path, _schemes(self.config), self.config.year_range)
+
+    @cached_property
+    def sets(self) -> dict[str, frozenset[str]]:
+        return _read_descriptor_sets(_require(self.config.out_dir / DESCRIPTORS_FILE, "normalize"))
+
+    @cached_property
+    def net(self) -> CoNetwork:
+        return _read_network(self.config)
+
+    @cached_property
+    def periods(self) -> list[CoNetwork]:
+        return [read_pajek_net(_require(_period_net_path(self.config, w), "net"))[0] for w in self.config.windows]
+
+    @cached_property
+    def partition(self) -> ClusterPartition:
+        path = _require(self.config.out_dir / CLU_FILE, "cluster")
+        return ClusterPartition(read_pajek_clu(path, self.net.n_vertices), 0.0)
+
+    @cached_property
+    def layout(self) -> LayoutMap:
+        path = _require(self.config.out_dir / NET_FILE, "net")
+        stored, layout = read_pajek_net(path)
+        if layout is None:
+            raise InputError(f"{path} has no coordinates; run the 'layout' stage first")
+        if stored != CoNetwork(self.net.labels, None, self.net.edge_array):  # weights are not in the file
+            raise InputError(f"{path} does not hold the network of vertices.csv and edges.csv; "
+                             "run the 'layout' stage again")
+        return layout
+
+
+def _thresholded(state: RunState) -> CoNetwork:
+    if state.net.n_vertices == 0:
         raise InputError("thresholded network is empty; lower --min-occ")
-    return net
+    return state.net
 
 
 # --- stages ------------------------------------------------------------------
 
 
-def stage_ingest(config: RunConfig, *, state: RunState | None = None) -> dict:
+def stage_ingest(config: RunConfig, *, state: RunState) -> dict:
     """Parse, validate and filter the corpus; write the canonical records.csv."""
     if config.records is None:
         raise InputError("no records file given (--records or config 'records')")
@@ -272,15 +296,14 @@ def stage_ingest(config: RunConfig, *, state: RunState | None = None) -> dict:
     if len(rs) == 0:
         raise InputError(f"no records left after source filter '{config.source}'")
     write_records(rs, config.out_dir / RECORDS_FILE)
-    if state is not None:
-        state.records = rs
+    state.records = rs
     return {"records": len(rs), "by_source": dict(Counter(map(attrgetter("source"), rs)))}
 
 
 def stage_report(config: RunConfig, scheme: str = "both", by: str = "none", *,
-                 state: RunState | None = None) -> dict:
+                 state: RunState) -> dict:
     """Classification tables from the ingested records."""
-    rs = _ingested(config, state)
+    rs = state.records
     scheme_a, scheme_b = _schemes(config)
     files = []
 
@@ -320,9 +343,9 @@ def stage_report(config: RunConfig, scheme: str = "both", by: str = "none", *,
     return {"files": files}
 
 
-def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict:
+def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
     """Canonicalize keywords and write the descriptor/frequency artifacts."""
-    rs = _ingested(config, state)
+    rs = state.records
     table = MappingTable({}) if config.mapping is None else load_mapping(config.mapping)
     idx = normalize(rs, table, passthrough=config.passthrough)
     bad = min((d for d in idx.totals if not representable(d)), default=None)
@@ -336,9 +359,8 @@ def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict
     stats = coverage_stats(idx, config.min_occurrences)
     write_coverage_csv(stats, config.min_occurrences, config.out_dir / COVERAGE_FILE)
     write_unmapped_csv(idx.unmapped, config.out_dir / UNMAPPED_FILE)
-    if state is not None:
-        # the sets descriptors.csv holds: a record without descriptors has no row there
-        state.sets = {rid: s for rid, s in idx.per_record.items() if s}
+    # the sets descriptors.csv holds: a record without descriptors has no row there
+    state.sets = {rid: s for rid, s in idx.per_record.items() if s}
     return {
         "descriptors": stats.n_descriptors_total,
         "occurrences": stats.n_occurrences_total,
@@ -347,22 +369,18 @@ def stage_normalize(config: RunConfig, *, state: RunState | None = None) -> dict
     }
 
 
-def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
+def stage_net(config: RunConfig, *, state: RunState) -> dict:
     """Build the co-occurrence network and apply the frequency threshold; likewise
     one period network per configured window, from the sets of its records.
     The full network is the sum of the period networks and the network of the
     records outside every window, so each record's pairs are counted once."""
-    sets_path = _require(config.out_dir / DESCRIPTORS_FILE, "normalize")
+    per_record = state.sets
     periods = []
     if config.windows:
-        periods = [[r.id for r in sub] for sub in split_periods(_ingested(config, state), list(config.windows))]
-    per_record = state.sets if state is not None else None
-    if state is not None:
-        # net is the last user of both: only the window ids are kept, so the records
-        # are freed before any pair is counted, and the sets with this stage
-        state.records = state.sets = None
-    if per_record is None:
-        per_record = _read_descriptor_sets(sets_path)
+        periods = [[r.id for r in sub] for sub in split_periods(state.records, list(config.windows))]
+    # net is the last user of both: only the window ids are kept, so the records
+    # are freed before any pair is counted, and the sets with this stage
+    state.records = state.sets = None
     nets, kept = [], []
     for window, ids in zip(config.windows, periods):
         period = _cooccurrence_network({rid: per_record.pop(rid) for rid in ids if rid in per_record})
@@ -376,8 +394,7 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)
     write_pajek_net(net, None, config.out_dir / NET_FILE)
-    if state is not None:
-        state.net, state.periods = net, kept
+    state.net, state.periods = net, kept
     return {
         "full_vertices": full.n_vertices,
         "full_edges": full.n_edges,
@@ -387,24 +404,22 @@ def stage_net(config: RunConfig, *, state: RunState | None = None) -> dict:
     }
 
 
-def stage_cluster(config: RunConfig, *, state: RunState | None = None) -> dict:
-    net = _thresholded(config, state)
+def stage_cluster(config: RunConfig, *, state: RunState) -> dict:
+    net = _thresholded(state)
     partition = detect_clusters(net, config.resolution, config.use_similarity)
     write_pajek_clu(partition, config.out_dir / CLU_FILE)
-    if state is not None:
-        state.partition = partition
+    state.partition = partition
     freq = list(zip(net.labels, net.require_weights()))
     write_cluster_summary_csv(cluster_summary(partition, freq), config.out_dir / CLUSTER_SUMMARY_FILE)
     return {"clusters": partition.n_clusters, "modularity": partition.modularity,
             "sweeps": partition.sweeps, "settled": partition.settled}
 
 
-def stage_layout(config: RunConfig, *, state: RunState | None = None) -> dict:
-    net = _thresholded(config, state)
+def stage_layout(config: RunConfig, *, state: RunState) -> dict:
+    net = _thresholded(state)
     layout = layout_network(net, config.layout)
     write_pajek_net(net, layout, config.out_dir / NET_FILE)
-    if state is not None:
-        state.layout = stored_layout(layout)  # map.svg is drawn from the coordinates network.net holds
+    state.layout = stored_layout(layout)  # map.svg is drawn from the coordinates network.net holds
     return {
         "iterations": layout.iterations,
         "sweeps": layout.sweeps,
@@ -413,36 +428,28 @@ def stage_layout(config: RunConfig, *, state: RunState | None = None) -> dict:
     }
 
 
-def stage_export(config: RunConfig, *, state: RunState | None = None) -> dict:
-    if state is not None and state.layout is not None:
-        net, layout, partition, freq = state.net, state.layout, state.partition, {}  # sizes from net.weights
-    else:
-        net_path = _require(config.out_dir / NET_FILE, "net")
-        net, layout = read_pajek_net(net_path)
-        if layout is None:
-            raise InputError(f"{net_path} has no coordinates; run the 'layout' stage first")
-        clu_path = _require(config.out_dir / CLU_FILE, "cluster")
-        partition = ClusterPartition(read_pajek_clu(clu_path, net.n_vertices), 0.0)
-        freq = dict(_csv_rows(_require(config.out_dir / VERTICES_FILE, "net"), str, _count))
-    write_label_map_svg(net, layout, partition, freq, config.out_dir / SVG_FILE, config.svg)
+def stage_export(config: RunConfig, *, state: RunState) -> dict:
+    # no sizes given: the circles take the weights of state.net, which vertices.csv holds
+    write_label_map_svg(state.net, state.layout, state.partition, {}, config.out_dir / SVG_FILE, config.svg)
     return {"files": [SVG_FILE]}
 
 
 def stage_compare_windows(config: RunConfig, a: str | Path | None = None, b: str | Path | None = None,
                           label_a: str | None = None, label_b: str | None = None, *,
-                          state: RunState | None = None) -> dict:
+                          state: RunState) -> dict:
     """Diff two Pajek networks into compare.csv: files ``a`` and ``b``, or
     the period networks of the two configured windows when neither is given.
     A side's label defaults to its window's label, or to its file's stem."""
     if (a is None) != (b is None):
         raise InputError("compare needs both --a and --b, or neither")
-    nets = state.periods if state is not None and a is None else None  # the period networks
     if a is None:
         if len(config.windows) != 2:
             raise InputError("compare needs exactly two configured windows, or --a and --b")
         a, b = (_period_net_path(config, w) for w in config.windows)
         label_a, label_b = label_a or config.windows[0].label, label_b or config.windows[1].label
-    net_a, net_b = nets or (read_pajek_net(_require(Path(path), "net"))[0] for path in (a, b))
+        net_a, net_b = state.periods
+    else:
+        net_a, net_b = (read_pajek_net(_require(Path(path), "net"))[0] for path in (a, b))
     labels = (label_a or Path(a).stem, label_b or Path(b).stem)
     report = compare_networks(net_a, net_b, labels)
     write_compare_csv(report, config.out_dir / COMPARE_FILE)
@@ -458,7 +465,7 @@ def stage_compare_windows(config: RunConfig, a: str | Path | None = None, b: str
 
 
 def stage_table() -> tuple[tuple[str, Callable[..., dict], str], ...]:
-    """(name, function, help) for every stage, in run order; each takes ``state=``.
+    """(name, function, help) for every stage, in run order; each takes a required ``state=``.
 
     Built on each call, so the stage functions are looked up on this module
     when the table is used, not when it is imported.
@@ -515,7 +522,7 @@ def run_pipeline(config: RunConfig) -> dict:
             raise StageError("ingest", InputError(f"input file {path} does not exist"))
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
-    state = RunState()
+    state = RunState(config)
     stages, seconds = {}, {}
     for name, fn, _ in stage_table():
         # compare diffs the period networks, so a run compares only when there are two

@@ -20,6 +20,7 @@ from cowordmap.pajek import format_pajek_net, read_pajek_net
 from cowordmap.pipeline import (
     MANIFEST_FILE,
     RunConfig,
+    RunState,
     run_pipeline,
     stage_compare_windows,
     stage_table,
@@ -199,13 +200,84 @@ def test_failed_run_leaves_no_earlier_manifest(tmp_path, capsys):
     assert not (out / MANIFEST_FILE).exists()
 
 
-def test_missing_prior_stage_artifact_named(tmp_path):
-    config = fixture_config(tmp_path / "out")
-    (tmp_path / "out").mkdir()
-    from cowordmap.pipeline import stage_net
+# each stage that reads: the first file it reads, and the stage that writes that file
+FIRST_INPUTS = {
+    "report": ("records.csv", "ingest"),
+    "normalize": ("records.csv", "ingest"),
+    "net": ("descriptors.csv", "normalize"),
+    "cluster": ("vertices.csv", "net"),
+    "layout": ("vertices.csv", "net"),
+    "export": ("vertices.csv", "net"),
+    "compare": ("period_2001_2006.net", "net"),
+}
 
-    with pytest.raises(InputError, match=r"descriptors.csv; run the 'normalize' stage"):
-        stage_net(config)
+
+@pytest.mark.parametrize("stage", FIRST_INPUTS)
+def test_missing_prior_stage_artifact_named(tmp_path, capsys, stage):
+    name, writer = FIRST_INPUTS[stage]
+    out = tmp_path / "out"
+    code = main([stage, "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                 "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage '{stage}': missing {out / name}; run the '{writer}' stage first"]
+
+
+def test_export_reads_the_network_once(tmp_path, capsys, monkeypatch):
+    # the net, partition and layout of export share one read of vertices.csv and edges.csv
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    drawn = (out / "map.svg").read_bytes()
+    calls = []
+    read = pipeline._read_network
+
+    def counted(config):
+        calls.append(config.out_dir)
+        return read(config)
+
+    monkeypatch.setattr(pipeline, "_read_network", counted)
+    assert main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"]) == 0, capsys.readouterr().err
+    assert calls == [out]
+    assert (out / "map.svg").read_bytes() == drawn
+
+
+@pytest.mark.parametrize("stale", ["vertices", "edges"])
+def test_export_rejects_a_network_net_of_another_network(tmp_path, capsys, stale):
+    # export draws the network of vertices.csv and edges.csv at the coordinates of network.net
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    net_path = out / "network.net"
+    if stale == "vertices":  # the map of another threshold
+        run_pipeline(fixture_config(tmp_path / "other", min_occurrences=4))
+        net_path.write_bytes((tmp_path / "other" / "network.net").read_bytes())
+    else:  # one edge taken out by hand
+        lines = net_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        net_path.write_text("".join(lines[:-1]), encoding="utf-8")
+    drawn = (out / "map.svg").read_bytes()
+    code = main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage 'export': {net_path} does not hold the network of "
+                                "vertices.csv and edges.csv; run the 'layout' stage again"]
+    assert (out / "map.svg").read_bytes() == drawn
+
+
+@pytest.mark.parametrize("edges, message", [
+    (["foo,bar,1", "bar,foo,1"], "edge 'bar'-'foo' is listed twice"),
+    (["foo,bar,5"], "edge 'foo'-'bar' counts 5, more than an end's weight in {vertices}"),
+], ids=["repeated", "above-weight"])
+def test_layout_rejects_edges_that_no_records_can_give(tmp_path, capsys, edges, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "vertices.csv").write_text("descriptor,occurrences\nbar,4\nfoo,3\n", encoding="utf-8")
+    (out / "edges.csv").write_text("keyword1,keyword2,weight\n" + "".join(f"{e}\n" for e in edges),
+                                   encoding="utf-8")
+    code = main(["layout", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage 'layout': {out / 'edges.csv'}: "
+                                + message.format(vertices=out / "vertices.csv")]
+    assert not (out / "network.net").exists()
 
 
 def test_cli_version(capsys):
@@ -634,7 +706,7 @@ def test_cli_compare_needs_windows_for_pipeline(tmp_path):
     config = fixture_config(tmp_path / "out", windows=(PeriodWindow(2001, 2012),))
     with pytest.raises(InputError, match="exactly two"):
         (tmp_path / "out").mkdir()
-        stage_compare_windows(config)
+        stage_compare_windows(config, state=RunState(config))
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -680,7 +752,8 @@ def test_console_entrypoint_subprocess(tmp_path):
 
 
 def test_start_up_does_not_import_scipy_optimize():
-    # scipy.optimize is imported by the first layout, not by start-up
+    # start-up imports cowordmap.layout, whose import time the benchmark reads as
+    # layout.import_s, and no scipy: the layout's solver is numpy only
     import cowordmap
 
     env = dict(os.environ)
