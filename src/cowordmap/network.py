@@ -147,12 +147,12 @@ def _from_codes(labels: list[str], totals: dict[str, int], codes: list[np.ndarra
 def build_network(idx: OccurrenceIndex) -> CoNetwork:
     """Count document-level co-occurrences over per-record descriptor sets.
 
-    Each record contributes 1 to every unordered pair of distinct descriptors
-    in its set; order of records does not matter. Descriptors without a
-    positive total are not vertices and pair with nothing. All records'
-    vertex ids go into one flat int32 array (-1 for a non-vertex, then
-    dropped); the m records holding k vertices form an (m, k) block of it,
-    whose pair codes are counted by ``np.unique`` and freed before the next k.
+    Each record's descriptors are a sorted tuple, each descriptor once; it
+    contributes 1 to every pair of them. Descriptors without a positive total
+    are not vertices and pair with nothing. All records' vertex ids go into
+    one flat int32 array (-1 for a non-vertex, then dropped); the m records
+    holding k vertices form an (m, k) block of it, whose pair codes are
+    counted by ``np.unique`` and freed before the next k.
     """
     totals = {d: c for d, c in idx.totals.items() if c > 0}
     labels = canonical_vertex_order(totals)

@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -182,9 +182,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _label(text: str) -> str:
+    """A descriptor field of a CSV artifact: not blank, and fit for a Pajek label."""
+    if not text.strip() or not representable(text):
+        raise ValueError(f"expected a descriptor that is not blank and holds no '\"' or line break, got {text!r}")
+    return text
+
+
 def _csv_rows(path: Path, *types: Callable[[str], object]):
-    """The rows of a CSV artifact below its header, one field per type, each
-    converted by its type; a row that does not fit names its file and line."""
+    """(line number, fields) of each row of a CSV artifact below its header, one field
+    per type, each converted by its type; a row that does not fit names its file and line."""
     with artifact_reader(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -195,17 +202,16 @@ def _csv_rows(path: Path, *types: Callable[[str], object]):
                 fields = tuple(convert(cell) for convert, cell in zip(types, row))
             except ValueError as exc:
                 raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-            yield fields
+            yield reader.line_num, fields
 
 
-def _read_descriptor_sets(path: Path) -> dict[str, frozenset[str]]:
-    per_record: dict[str, set[str]] = {}
-    for rid, descriptor in _csv_rows(path, str, str):
-        per_record.setdefault(rid, set()).add(descriptor)
-    return {rid: frozenset(s) for rid, s in per_record.items()}
+def _read_descriptor_sets(path: Path) -> dict[str, tuple[str, ...]]:
+    """Each record's descriptors, a sorted tuple with each once, however the rows are ordered."""
+    rows = sorted({fields for _, fields in _csv_rows(path, str, _label)})
+    return {rid: tuple(map(itemgetter(1), group)) for rid, group in groupby(rows, itemgetter(0))}
 
 
-def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
+def _cooccurrence_network(per_record: dict[str, tuple[str, ...]]) -> CoNetwork:
     """Unthresholded network of per-record descriptor sets, as read from descriptors.csv."""
     totals = Counter(chain.from_iterable(per_record.values()))
     return build_network(OccurrenceIndex(per_record, dict(totals), {}, 0))
@@ -214,17 +220,17 @@ def _cooccurrence_network(per_record: dict[str, frozenset[str]]) -> CoNetwork:
 def _read_network(config: RunConfig) -> CoNetwork:
     vpath = _require(config.out_dir / VERTICES_FILE, "net")
     epath = _require(config.out_dir / EDGES_FILE, "net")
-    vertices = list(_csv_rows(vpath, str, _count))
-    edges = list(_csv_rows(epath, str, str, _count))
+    vertices = [fields for _, fields in _csv_rows(vpath, _label, _count)]
+    edges = list(_csv_rows(epath, _label, _label, _count))
     weights, seen = dict(vertices), set()
-    for a, b, c in edges:  # make_network sums a repeated pair and takes any count
+    for line, (a, b, c) in edges:  # make_network sums a repeated pair and takes any count
         if (a, b) in seen or (b, a) in seen:
-            raise InputError(f"{epath}: edge {a!r}-{b!r} is listed twice")
+            raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} is listed twice")
         seen.add((a, b))
         if c > min(weights.get(a, c), weights.get(b, c)):
-            raise InputError(f"{epath}: edge {a!r}-{b!r} counts {c}, more than an end's weight in {vpath}")
+            raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} counts {c}, more than an end's weight in {vpath}")
     try:
-        return make_network(vertices, edges)
+        return make_network(vertices, [fields for _, fields in edges])
     except KeyError as exc:
         raise InputError(f"{epath}: edge end {exc} is not a vertex of {vpath}") from None
     except ValueError as exc:
@@ -233,11 +239,12 @@ def _read_network(config: RunConfig) -> CoNetwork:
 
 class RunState:
     """What the stages hand on, one field per artifact a later stage reads:
-    ``records`` (records.csv), ``sets`` (descriptors.csv), ``net`` (vertices.csv,
-    edges.csv), ``periods`` (the period .net files), ``partition`` (network.clu)
-    and ``layout`` (network.net). A stage sets what it made, as a later stage
-    would read it back; a field no stage has set is read from its file on
-    first use and kept, and a missing file names the stage that writes it."""
+    ``records`` (records.csv), ``sets`` (descriptors.csv; a sorted tuple per record,
+    each descriptor once), ``net`` (vertices.csv, edges.csv), ``periods`` (the period
+    .net files), ``partition`` (network.clu) and ``layout`` (network.net). A stage
+    sets what it made, as a later stage would read it back; a field no stage has
+    set is read from its file on first use and kept, and a missing file names
+    the stage that writes it."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -248,7 +255,7 @@ class RunState:
         return parse_records(path, _schemes(self.config), self.config.year_range)
 
     @cached_property
-    def sets(self) -> dict[str, frozenset[str]]:
+    def sets(self) -> dict[str, tuple[str, ...]]:
         return _read_descriptor_sets(_require(self.config.out_dir / DESCRIPTORS_FILE, "normalize"))
 
     @cached_property
@@ -353,7 +360,7 @@ def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
         rid = next(r.id for r in rs if bad in idx.per_record[r.id])
         raise InputError(f"record '{rid}': descriptor {bad!r} contains '\"' or a line break, "
                          "which a Pajek label cannot hold")
-    rows = chain.from_iterable(zip(repeat(r.id), sorted(idx.per_record[r.id])) for r in rs)
+    rows = chain.from_iterable(zip(repeat(r.id), idx.per_record[r.id]) for r in rs)
     write_descriptors_csv(rows, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)

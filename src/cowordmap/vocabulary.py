@@ -3,8 +3,8 @@
 Raw author keywords are matched against a human-authored mapping table and
 replaced by canonical descriptors. Matching happens on a normalized
 "match-key": NFC composition, casefold, whitespace collapse. Within one
-record, descriptors form a set, so a descriptor's occurrence count is the
-number of records containing it.
+record, descriptors form a set (a sorted tuple, each descriptor once), so a
+descriptor's occurrence count is the number of records containing it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class MappingTable:
 
 @dataclass(frozen=True)
 class OccurrenceIndex:
-    """Per-record descriptor sets plus global occurrence totals.
+    """Each record's descriptors (a sorted tuple, each once) plus global occurrence totals.
 
     ``unmapped`` tallies keywords (by match-key) that had no mapping entry,
     whether or not passthrough let them become descriptors. ``token_count``
@@ -48,7 +48,7 @@ class OccurrenceIndex:
     so both readings of "occurrences" stay checkable.
     """
 
-    per_record: dict[str, frozenset[str]]
+    per_record: dict[str, tuple[str, ...]]
     totals: dict[str, int]
     unmapped: dict[str, int]
     token_count: int
@@ -113,9 +113,9 @@ def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> O
     Mapped keywords become their canonical descriptor. Unmapped keywords
     become their own match-key when ``passthrough`` is on, and are dropped
     from the descriptor sets otherwise; either way they are tallied in
-    ``unmapped``. Duplicates within a record collapse to one. Each distinct
-    raw keyword is looked up once per call; the records' sets and the totals
-    are then built by ``map`` and ``Counter`` over those lookups.
+    ``unmapped``. Duplicates within a record collapse to one, the rest are
+    sorted. Each distinct raw keyword is looked up once per call; the records'
+    tuples and the totals are then built by ``map`` and ``Counter`` over them.
     """
     keywords = list(map(attrgetter("raw_keywords"), rs))
     raw_counts = Counter(chain.from_iterable(keywords))
@@ -128,11 +128,11 @@ def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> O
             unmapped[key] += n
             canonical = key if passthrough else None
         descriptor[raw] = canonical
-    sets = [frozenset(map(descriptor.__getitem__, kws)) for kws in keywords]
-    tokens = raw_counts.total()
+    found = (set(map(descriptor.__getitem__, kws)) for kws in keywords)
     if not passthrough:
-        sets = [s - {None} if None in s else s for s in sets]
-        tokens -= unmapped.total()
+        found = (s - {None} for s in found)
+    sets = [tuple(sorted(s)) for s in found]
+    tokens = raw_counts.total() - (0 if passthrough else unmapped.total())
     per_record = dict(zip(map(attrgetter("id"), rs), sets))
     totals = Counter(chain.from_iterable(sets))
     return OccurrenceIndex(per_record, dict(totals), dict(unmapped), tokens)

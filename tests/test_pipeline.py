@@ -263,8 +263,8 @@ def test_export_rejects_a_network_net_of_another_network(tmp_path, capsys, stale
 
 
 @pytest.mark.parametrize("edges, message", [
-    (["foo,bar,1", "bar,foo,1"], "edge 'bar'-'foo' is listed twice"),
-    (["foo,bar,5"], "edge 'foo'-'bar' counts 5, more than an end's weight in {vertices}"),
+    (["foo,bar,1", "bar,foo,1"], "3: edge 'bar'-'foo' is listed twice"),
+    (["foo,bar,5"], "2: edge 'foo'-'bar' counts 5, more than an end's weight in {vertices}"),
 ], ids=["repeated", "above-weight"])
 def test_layout_rejects_edges_that_no_records_can_give(tmp_path, capsys, edges, message):
     out = tmp_path / "out"
@@ -275,9 +275,51 @@ def test_layout_rejects_edges_that_no_records_can_give(tmp_path, capsys, edges, 
     code = main(["layout", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err.splitlines() == [f"error in stage 'layout': {out / 'edges.csv'}: "
+    assert err.splitlines() == [f"error in stage 'layout': {out / 'edges.csv'}:"
                                 + message.format(vertices=out / "vertices.csv")]
     assert not (out / "network.net").exists()
+
+
+BAD_LABEL_FILES = {  # file: (its rows, with a bad label at "{}", the stage that reads it)
+    "descriptors.csv": ("record_id,descriptor\nr1,bar\nr1,foo\nr2,{}\n", "net"),
+    "vertices.csv": ("descriptor,occurrences\nbar,4\n{},3\n", "layout"),
+    "edges.csv": ("keyword1,keyword2,weight\nbar,{},1\n", "layout"),
+}
+
+
+@pytest.mark.parametrize("label, cell", [('say "hi"', '"say ""hi"""'), ("", ""), ("  ", "  ")],
+                         ids=["quote", "empty", "blank"])
+@pytest.mark.parametrize("name", BAD_LABEL_FILES)
+def test_subcommands_reject_unusable_labels(tmp_path, capsys, name, label, cell):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "vertices.csv").write_text("descriptor,occurrences\nbar,4\nfoo,3\n", encoding="utf-8")
+    (out / "edges.csv").write_text("keyword1,keyword2,weight\nbar,foo,1\n", encoding="utf-8")
+    rows, stage = BAD_LABEL_FILES[name]
+    (out / name).write_text(rows.format(cell), encoding="utf-8")
+    code = main([stage, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    line = rows.count("\n")
+    assert err.splitlines() == [f"error in stage '{stage}': {out / name}:{line}: expected a descriptor that is "
+                                f"not blank and holds no '\"' or line break, got {label!r}"]
+    assert not (out / "network.net").exists()
+
+
+def test_net_reads_descriptor_rows_in_any_order_and_repeated(tmp_path, capsys):
+    # descriptors.csv lists each record's descriptors once, in code-point order;
+    # the reader sorts and drops repeats itself, so a shuffled file gives the same network
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), *RUN_FLAGS["adjacent"]]
+    assert main(["run", *args, "--out", str(full)]) == 0, capsys.readouterr().err
+    staged.mkdir()
+    (staged / "records.csv").write_bytes((full / "records.csv").read_bytes())
+    header, *rows = (full / "descriptors.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = rows[::-1] + rows[len(rows) // 2:len(rows) // 2 + 1]
+    (staged / "descriptors.csv").write_text(header + "".join(shuffled), encoding="utf-8")
+    assert main(["net", *args, "--out", str(staged)]) == 0, capsys.readouterr().err
+    for name in ("vertices.csv", "edges.csv", "period_2001_2006.net", "period_2007_2012.net"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_cli_version(capsys):

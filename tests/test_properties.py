@@ -392,7 +392,7 @@ def test_normalize_matches_brute_force_oracle(tmp_path_factory, words, passthrou
     rs = RecordSet(tuple(Record(rid, "BAD", 2005, "", None, None, tuple(kws)) for rid, kws in keywords.items()))
     idx = normalize(rs, load_mapping(path), passthrough)
     sets, totals, unmapped, tokens = oracles.normalize_tallies(keywords, oracles.read_mapping_pairs(path), passthrough)
-    assert idx.per_record == {rid: frozenset(s) for rid, s in sets.items()}
+    assert idx.per_record == {rid: tuple(sorted(s)) for rid, s in sets.items()}
     assert idx.totals == dict(totals)
     assert idx.unmapped == dict(unmapped)
     assert idx.token_count == tokens

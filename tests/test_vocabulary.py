@@ -84,7 +84,7 @@ def test_canonical_forms_map_to_themselves(fixture_mapping):
 def test_normalize_merge_then_dedupe(fixture_mapping):
     rs = record_set(["Bibliotecas públicas", "public libraries"])
     idx = normalize(rs, fixture_mapping)
-    assert idx.per_record["r0"] == frozenset({"public libraries"})
+    assert idx.per_record["r0"] == ("public libraries",)
     assert idx.totals == {"public libraries": 1}
     assert idx.token_count == 2
 
@@ -92,7 +92,7 @@ def test_normalize_merge_then_dedupe(fixture_mapping):
 def test_normalize_empty_mapping_passthrough():
     rs = record_set(["Reading  Habits", "reading habits", "Libraries"])
     idx = normalize(rs, MappingTable({}), passthrough=True)
-    assert idx.per_record["r0"] == frozenset({"reading habits", "libraries"})
+    assert idx.per_record["r0"] == ("libraries", "reading habits")
     assert sorted(idx.unmapped) == ["libraries", "reading habits"]
 
 
@@ -100,7 +100,7 @@ def test_normalize_strict_diverts_unmapped():
     rs = record_set(["mapped", "oddball"])
     table = MappingTable({"mapped": "Mapped"})
     idx = normalize(rs, table, passthrough=False)
-    assert idx.per_record["r0"] == frozenset({"Mapped"})
+    assert idx.per_record["r0"] == ("Mapped",)
     assert idx.unmapped == {"oddball": 1}
     assert idx.token_count == 1
 
