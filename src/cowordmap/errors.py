@@ -1,8 +1,10 @@
 """Exception types shared across the package, the one reader of text files
-(and of hand-written line files through it) and the one artifact writer."""
+(and, through it, of hand-written line files and of CSV files) and the one
+artifact writer."""
 
 from __future__ import annotations
 
+import csv
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
@@ -51,6 +53,23 @@ def content_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def csv_rows(path: str | Path, header: list[str], what: str = "") -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each row below ``header`` of a CSV file read
+    through ``artifact_reader``. An empty file, another header or a row of
+    another width is an InputError naming the file, and the line if there is one."""
+    with artifact_reader(path, what) as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise InputError(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise InputError(f"{path}:1: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
 
 
 @contextmanager

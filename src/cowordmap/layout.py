@@ -16,10 +16,9 @@ scaled region, in numpy) then converges. ``_Stress`` is the one
 implementation of E: built once per component, with every term that depends
 only on the distances precomputed, it returns E and its analytic gradient
 from a single pass over the pair matrix, and its Hessian reuses that pass's
-pair geometry. ``stress_objective`` and ``stress_hessian`` expose it over
-interleaved coordinates; ``stress`` and ``stress_gradient`` are thin
-wrappers over the objective. Each component is solved in units of its mean
-graph distance, which is also the unit of ``LayoutParams.tolerance``.
+pair geometry. ``stress`` and ``stress_gradient`` evaluate it at ``(m, 2)``
+coordinates. Each component is solved in units of its mean graph distance,
+which is also the unit of ``LayoutParams.tolerance``.
 """
 
 from __future__ import annotations
@@ -176,47 +175,14 @@ def _blocks(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(-1, 2).T.ravel()
 
 
-def stress_objective(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """One component's stress as a function of its coordinates.
-
-    Everything that depends only on ``dmat`` and ``scale`` is computed here,
-    once. The returned function maps coordinates (``(m, 2)`` or flat) to
-    ``(stress, flat gradient)`` in one pass over the pair matrix: pairs at
-    infinite graph distance, and each vertex with itself, add nothing.
-    """
-    stress = _Stress(dmat, scale)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = stress.objective(_blocks(x))
-        return value, g.reshape(2, -1).T.ravel()
-
-    return objective
-
-
-def stress_hessian(dmat: np.ndarray, scale: float) -> Callable[[np.ndarray], np.ndarray]:
-    """One component's stress Hessian as a function of its coordinates.
-
-    Built like ``stress_objective``. The returned function maps coordinates
-    (``(m, 2)`` or flat) to the dense ``(2m, 2m)`` Hessian over ``x0, y0,
-    x1, ...`` (``_Stress.hessian`` in that order). Each call returns a fresh
-    array, so a caller may keep an earlier one.
-    """
-    stress, m = _Stress(dmat, scale), dmat.shape[0]
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        return stress.hessian(_blocks(x)).reshape(2, m, 2, m).transpose(1, 0, 3, 2).reshape(2 * m, 2 * m)
-
-    return hessian
-
-
 def stress(coords: np.ndarray, dmat: np.ndarray, scale: float) -> float:
     """Total stress; pairs at infinite graph distance contribute nothing."""
-    return stress_objective(dmat, scale)(coords)[0]
+    return _Stress(dmat, scale).objective(_blocks(coords))[0]
 
 
 def stress_gradient(coords: np.ndarray, dmat: np.ndarray, scale: float) -> np.ndarray:
-    """Analytic gradient of ``stress`` with respect to every coordinate."""
-    return stress_objective(dmat, scale)(coords)[1].reshape(-1, 2)
+    """Analytic gradient of ``stress`` with respect to every coordinate, ``(m, 2)``."""
+    return _Stress(dmat, scale).objective(_blocks(coords))[1].reshape(2, -1).T
 
 
 @dataclass(frozen=True)

@@ -176,17 +176,19 @@ def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     """Cluster ids (dense 1..k) of a partition file that must cover exactly ``n`` vertices."""
     path = Path(path)
     with artifact_reader(path) as fh:
-        lines = [l.strip() for l in fh.read().splitlines() if l.strip()]
-    if not lines or not lines[0].lower().startswith("*vertices"):
+        lines = [(no, l.strip()) for no, l in enumerate(fh.read().splitlines(), start=1) if l.strip()]
+    if not lines or not lines[0][1].lower().startswith("*vertices"):
         raise InputError(f"{path}: not a Pajek partition file")
     body = lines[1:]
     if len(body) != n:
         raise InputError(f"{path}: has {len(body)} assignments, network has {n} vertices")
+    ids = []
+    for no, text in body:
+        try:
+            ids.append(int(text))
+        except ValueError:
+            raise InputError(f"{path}:{no}: non-integer cluster id {text!r}") from None
     try:
-        ids = tuple(int(x) for x in body)
-    except ValueError:
-        raise InputError(f"{path}: non-integer cluster id")
-    try:
-        return ClusterPartition(ids, 0.0).assignment
+        return ClusterPartition(tuple(ids), 0.0).assignment
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None

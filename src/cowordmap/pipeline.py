@@ -21,7 +21,6 @@ two Pajek files, the period networks by default.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
@@ -38,7 +37,7 @@ from time import perf_counter
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
-from .errors import InputError, StageError, artifact_reader, artifact_writer
+from .errors import InputError, StageError, artifact_writer, csv_rows
 from .layout import LayoutMap, LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, sum_networks, threshold_filter
 from .pajek import read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu, write_pajek_net
@@ -58,6 +57,9 @@ from .records import (
 )
 from .svgmap import SvgOptions, write_label_map_svg
 from .tables import (
+    DESCRIPTORS_HEADER,
+    EDGES_HEADER,
+    VERTICES_HEADER,
     write_cluster_summary_csv,
     write_compare_csv,
     write_coverage_csv,
@@ -189,25 +191,21 @@ def _label(text: str) -> str:
     return text
 
 
-def _csv_rows(path: Path, *types: Callable[[str], object]):
-    """(line number, fields) of each row of a CSV artifact below its header, one field
-    per type, each converted by its type; a row that does not fit names its file and line."""
-    with artifact_reader(path) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if len(row) != len(types):
-                raise InputError(f"{path}:{reader.line_num}: expected {len(types)} fields, got {len(row)}")
-            try:
-                fields = tuple(convert(cell) for convert, cell in zip(types, row))
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-            yield reader.line_num, fields
+def _csv_rows(path: Path, header: list[str], *types: Callable[[str], object]):
+    """(line number, fields) of each row of a CSV artifact, read by ``errors.csv_rows``
+    (which checks ``header`` and each row's width), one field per type, each converted
+    by its type; a field that does not convert names its file and line."""
+    for line, row in csv_rows(path, header):
+        try:
+            fields = tuple(convert(cell) for convert, cell in zip(types, row))
+        except ValueError as exc:
+            raise InputError(f"{path}:{line}: {exc}") from None
+        yield line, fields
 
 
 def _read_descriptor_sets(path: Path) -> dict[str, tuple[str, ...]]:
     """Each record's descriptors, a sorted tuple with each once, however the rows are ordered."""
-    rows = sorted({fields for _, fields in _csv_rows(path, str, _label)})
+    rows = sorted({fields for _, fields in _csv_rows(path, DESCRIPTORS_HEADER, str, _label)})
     return {rid: tuple(map(itemgetter(1), group)) for rid, group in groupby(rows, itemgetter(0))}
 
 
@@ -218,23 +216,29 @@ def _cooccurrence_network(per_record: dict[str, tuple[str, ...]]) -> CoNetwork:
 
 
 def _read_network(config: RunConfig) -> CoNetwork:
+    """The network of vertices.csv and edges.csv. Each row that ``make_network`` would
+    reject, or that no records can give, is rejected here with its file and line."""
     vpath = _require(config.out_dir / VERTICES_FILE, "net")
     epath = _require(config.out_dir / EDGES_FILE, "net")
-    vertices = [fields for _, fields in _csv_rows(vpath, _label, _count)]
-    edges = list(_csv_rows(epath, _label, _label, _count))
-    weights, seen = dict(vertices), set()
-    for line, (a, b, c) in edges:  # make_network sums a repeated pair and takes any count
+    weights = {}
+    for line, (label, count) in _csv_rows(vpath, VERTICES_HEADER, _label, _count):
+        if label in weights:
+            raise InputError(f"{vpath}:{line}: vertex {label!r} is listed twice")
+        weights[label] = count
+    edges, seen = [], set()
+    for line, (a, b, c) in _csv_rows(epath, EDGES_HEADER, _label, _label, _count):
+        for end in (a, b):
+            if end not in weights:
+                raise InputError(f"{epath}:{line}: edge end {end!r} is not a vertex of {vpath}")
+        if a == b:
+            raise InputError(f"{epath}:{line}: self-edge on {a!r}")
         if (a, b) in seen or (b, a) in seen:
             raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} is listed twice")
         seen.add((a, b))
-        if c > min(weights.get(a, c), weights.get(b, c)):
+        if c > min(weights[a], weights[b]):
             raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} counts {c}, more than an end's weight in {vpath}")
-    try:
-        return make_network(vertices, [fields for _, fields in edges])
-    except KeyError as exc:
-        raise InputError(f"{epath}: edge end {exc} is not a vertex of {vpath}") from None
-    except ValueError as exc:
-        raise InputError(f"{vpath}, {epath}: {exc}") from None
+        edges.append((a, b, c))
+    return make_network(list(weights.items()), edges)
 
 
 class RunState:

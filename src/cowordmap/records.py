@@ -4,7 +4,8 @@ Records live in one flat CSV file with the header
 ``id,source,year,title,class_a,class_b,keywords``; the keywords cell holds
 ";"-separated raw author keywords. Each record optionally carries one label
 from each of two classification schemes, applied manually upstream.
-``parse_records`` reads that file with the csv module; ``write_records``
+``parse_records`` reads that file through ``errors.csv_rows``, the one CSV
+reader, which checks its header and the width of each row; ``write_records``
 encodes it directly, to the bytes ``csv.writer`` gives.
 """
 
@@ -19,7 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import InputError, artifact_reader, artifact_writer, content_lines
+from .errors import InputError, artifact_writer, content_lines, csv_rows
 
 DEFAULT_YEAR_RANGE = (2001, 2012)
 
@@ -115,7 +116,7 @@ def parse_records(
     schemes: tuple[ClassScheme, ClassScheme],
     year_range: tuple[int, int] | None = DEFAULT_YEAR_RANGE,
 ) -> RecordSet:
-    """Parse and validate the records CSV at ``path``.
+    """Parse and validate the records CSV at ``path``, read by ``errors.csv_rows``.
 
     Row order is preserved. Every cell is trimmed; keywords are split on ";"
     and trimmed, and empty segments (e.g. a trailing ";") are dropped. Every
@@ -130,51 +131,38 @@ def parse_records(
     seen: dict[str, int] = {}
     shared = _Stripped().__getitem__  # one object per distinct keyword, source and class
     years: dict[str, int] = {}  # each distinct year cell, parsed and checked once
-    with artifact_reader(path, "records file ") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected header {','.join(RECORDS_HEADER)}")
-        if header != RECORDS_HEADER:
+    for line, row in csv_rows(path, RECORDS_HEADER, "records file "):
+        rid, source, year_text, title, class_a, class_b, keywords = map(str.strip, row)
+        if not rid:
+            raise InputError(f"{path}:{line}: field 'id' is empty")
+        if rid in seen:
+            raise InputError(f"{path}:{line}: duplicate id '{rid}' (first seen on line {seen[rid]})")
+        seen[rid] = line
+        if not source:
+            raise InputError(f"{path}:{line}: field 'source' is empty")
+        year = years.get(year_text)
+        if year is None:
+            try:
+                year = int(year_text)
+            except ValueError:
+                raise InputError(f"{path}:{line}: field 'year' is not an integer: {year_text!r}")
+            if year_range is not None and not (year_range[0] <= year <= year_range[1]):
+                raise InputError(
+                    f"{path}:{line}: field 'year' {year} outside corpus range "
+                    f"{year_range[0]}-{year_range[1]}"
+                )
+            years[year_text] = year
+        if class_a and class_a not in labels_a:
             raise InputError(
-                f"{path}:1: bad header {','.join(header)!r}, expected {','.join(RECORDS_HEADER)!r}"
+                f"{path}:{line}: field 'class_a' label '{class_a}' not in scheme '{scheme_a.name}'"
             )
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(RECORDS_HEADER):
-                raise InputError(f"{path}:{line}: expected {len(RECORDS_HEADER)} fields, got {len(row)}")
-            rid, source, year_text, title, class_a, class_b, keywords = map(str.strip, row)
-            if not rid:
-                raise InputError(f"{path}:{line}: field 'id' is empty")
-            if rid in seen:
-                raise InputError(f"{path}:{line}: duplicate id '{rid}' (first seen on line {seen[rid]})")
-            seen[rid] = line
-            if not source:
-                raise InputError(f"{path}:{line}: field 'source' is empty")
-            year = years.get(year_text)
-            if year is None:
-                try:
-                    year = int(year_text)
-                except ValueError:
-                    raise InputError(f"{path}:{line}: field 'year' is not an integer: {year_text!r}")
-                if year_range is not None and not (year_range[0] <= year <= year_range[1]):
-                    raise InputError(
-                        f"{path}:{line}: field 'year' {year} outside corpus range "
-                        f"{year_range[0]}-{year_range[1]}"
-                    )
-                years[year_text] = year
-            if class_a and class_a not in labels_a:
-                raise InputError(
-                    f"{path}:{line}: field 'class_a' label '{class_a}' not in scheme '{scheme_a.name}'"
-                )
-            if class_b and class_b not in labels_b:
-                raise InputError(
-                    f"{path}:{line}: field 'class_b' label '{class_b}' not in scheme '{scheme_b.name}'"
-                )
-            records.append(Record(rid, shared(source), year, title,
-                                  shared(class_a) if class_a else None, shared(class_b) if class_b else None,
-                                  tuple(filter(None, map(shared, keywords.split(";"))))))
+        if class_b and class_b not in labels_b:
+            raise InputError(
+                f"{path}:{line}: field 'class_b' label '{class_b}' not in scheme '{scheme_b.name}'"
+            )
+        records.append(Record(rid, shared(source), year, title,
+                              shared(class_a) if class_a else None, shared(class_b) if class_b else None,
+                              tuple(filter(None, map(shared, keywords.split(";"))))))
     return RecordSet(tuple(records))
 
 

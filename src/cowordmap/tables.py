@@ -1,4 +1,7 @@
-"""CSV table writers. UTF-8, comma-separated, LF newlines, minimal quoting."""
+"""CSV table writers. UTF-8, comma-separated, LF newlines, minimal quoting.
+
+The headers of the tables a later stage reads back are constants here, so
+the writer and the reader (``pipeline._csv_rows``) share one spelling."""
 
 from __future__ import annotations
 
@@ -11,6 +14,10 @@ from .compare import CompareReport
 from .errors import artifact_writer
 from .network import CoNetwork
 from .vocabulary import CoverageStats
+
+DESCRIPTORS_HEADER = ["record_id", "descriptor"]
+VERTICES_HEADER = ["descriptor", "occurrences"]
+EDGES_HEADER = ["keyword1", "keyword2", "weight"]
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -25,7 +32,7 @@ def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None
 
 
 def write_descriptors_csv(rows: Iterable[tuple[str, str]], path: str | Path) -> None:
-    write_csv(path, ["record_id", "descriptor"], rows)
+    write_csv(path, DESCRIPTORS_HEADER, rows)
 
 
 def write_distribution_csv(rows: list[tuple[str, int, int]], path: str | Path) -> None:
@@ -99,12 +106,12 @@ def write_edges_csv(net: CoNetwork, path: str | Path) -> None:
         a, b = sorted((net.labels[i], net.labels[j]))
         rows.append((a, b, c))
     rows.sort()
-    write_csv(path, ["keyword1", "keyword2", "weight"], rows)
+    write_csv(path, EDGES_HEADER, rows)
 
 
 def write_vertices_csv(net: CoNetwork, path: str | Path) -> None:
     weights = net.require_weights()
-    write_csv(path, ["descriptor", "occurrences"], zip(net.labels, weights))
+    write_csv(path, VERTICES_HEADER, zip(net.labels, weights))
 
 
 def write_cluster_summary_csv(summaries: list[ClusterSummary], path: str | Path) -> None:

@@ -10,6 +10,7 @@ from conftest import connected_random_network, random_network
 from cowordmap.layout import (
     LayoutMap,
     LayoutParams,
+    _Stress,
     graph_distances,
     kamada_kawai,
     layout_network,
@@ -18,8 +19,6 @@ from cowordmap.layout import (
     pack_components,
     stress,
     stress_gradient,
-    stress_hessian,
-    stress_objective,
 )
 from cowordmap.network import CoNetwork, component_subnetworks, make_network, threshold_filter
 
@@ -109,10 +108,10 @@ def test_objective_is_stress_and_gradient_in_one_pass():
     net = connected_random_network(rng, 15)
     d = full_distance_matrix(net)
     pos = random_positions(rng, net.n_vertices)
-    value, grad = stress_objective(d, 1.5)(pos.ravel())
+    value, grad = _Stress(d, 1.5).objective(pos.T.ravel())  # block order: every x, then every y
     assert value == stress(pos, d, 1.5)
     assert grad.shape == (2 * net.n_vertices,)
-    assert np.array_equal(grad.reshape(-1, 2), stress_gradient(pos, d, 1.5))
+    assert np.array_equal(grad.reshape(2, -1).T, stress_gradient(pos, d, 1.5))
     # bit for bit the element-wise formula, summed in the same order
     dx, dy = pos[:, 0, None] - pos[None, :, 0], pos[:, 1, None] - pos[None, :, 1]
     r = np.sqrt(dx * dx + dy * dy)
@@ -122,7 +121,7 @@ def test_objective_is_stress_and_gradient_in_one_pass():
     np.fill_diagonal(finite, False)
     dd = np.where(finite, d, 1.0)
     factor = np.where(finite, (2.0 / (dd * dd)) * (1.0 - 1.5 * dd / np.maximum(r, 1e-12)), 0.0)
-    expected = np.column_stack(((factor * dx).sum(axis=1), (factor * dy).sum(axis=1)))
+    expected = np.concatenate(((factor * dx).sum(axis=1), (factor * dy).sum(axis=1)))
     assert grad.tobytes() == expected.tobytes()
 
 
@@ -137,14 +136,14 @@ def test_objective_over_components_is_sum_of_parts():
     for part in parts[:2]:
         d[np.ix_(part, part)] = full_distance_matrix(connected_random_network(rng, len(part)))
     pos = random_positions(rng, n)
-    value, grad = stress_objective(d, 1.0)(pos)
-    grad = grad.reshape(n, 2)
+    value, grad = _Stress(d, 1.0).objective(pos.T.ravel())
+    grad = grad.reshape(2, n).T
     assert np.isfinite(value) and np.isfinite(grad).all()
     total = 0.0
     for part in parts:
-        sub_value, sub_grad = stress_objective(d[np.ix_(part, part)], 1.0)(pos[part])
+        sub_value, sub_grad = _Stress(d[np.ix_(part, part)], 1.0).objective(pos[part].T.ravel())
         total += sub_value
-        np.testing.assert_allclose(grad[part], sub_grad.reshape(-1, 2), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad[part], sub_grad.reshape(2, -1).T, rtol=1e-12, atol=1e-15)
     assert value == pytest.approx(total, rel=1e-12)
     assert grad[6].tolist() == [0.0, 0.0]
     assert not np.signbit(grad[grad == 0.0]).any()
@@ -161,26 +160,26 @@ def test_hessian_matches_central_differences_of_gradient():
     for part in parts[:2]:
         d[np.ix_(part, part)] = full_distance_matrix(connected_random_network(rng, len(part)))
     pos = random_positions(rng, n)
-    objective, hessian = stress_objective(d, 1.5), stress_hessian(d, 1.5)
-    h = hessian(pos)
+    s = _Stress(d, 1.5)
+    x, step = pos.T.ravel(), 1e-6  # block order: every x, then every y
+    h = s.hessian(x)
     assert h.shape == (2 * n, 2 * n)
     assert np.array_equal(h, h.T)
-    x, step = pos.ravel(), 1e-6
     fd = np.empty((2 * n, 2 * n))
     for k in range(2 * n):
         e = np.zeros(2 * n)
         e[k] = step
-        fd[:, k] = (objective(x + e)[1] - objective(x - e)[1]) / (2 * step)
+        fd[:, k] = (s.objective(x + e)[1] - s.objective(x - e)[1]) / (2 * step)
     assert np.linalg.norm(h - fd) / np.linalg.norm(fd) < 1e-6
     for part in parts:
-        rows = [2 * i + a for i in part for a in (0, 1)]
-        sub = stress_hessian(d[np.ix_(part, part)], 1.5)(pos[part])
+        rows = [a * n + i for a in (0, 1) for i in part]
+        sub = _Stress(d[np.ix_(part, part)], 1.5).hessian(pos[part].T.ravel())
         np.testing.assert_allclose(h[np.ix_(rows, rows)], sub, rtol=1e-12, atol=1e-15)
         others = [k for k in range(2 * n) if k not in rows]
         assert not h[np.ix_(rows, others)].any()
     # a fresh array per call: a later call leaves an earlier result alone
     before = h.copy()
-    hessian(random_positions(rng, n))
+    s.hessian(random_positions(rng, n).T.ravel())
     assert np.array_equal(h, before)
 
 

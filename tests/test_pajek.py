@@ -106,6 +106,9 @@ def test_read_rejects_malformed_lines(tmp_path):
     clu.write_text("*Vertices 2\n2\n9\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"bad.clu: cluster ids must be dense 1..k, got \[2, 9\]"):
         read_pajek_clu(clu, 2)
+    clu.write_text("*Vertices 2\n1\n\ntwo\n", encoding="utf-8")
+    with pytest.raises(InputError, match="bad.clu:4: non-integer cluster id 'two'"):
+        read_pajek_clu(clu, 2)
 
 
 def test_read_rejects_partial_coordinates(tmp_path):

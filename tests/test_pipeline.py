@@ -876,8 +876,10 @@ def test_cli_overlapping_windows_exit_one_before_any_stage(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, row, stage", [
     ("edges.csv", "nope,zzz,3", "layout"),
+    ("edges.csv", "public libraries,public libraries,1", "layout"),
     ("vertices.csv", "foo,abc", "cluster"),
     ("vertices.csv", "Portugal,0", "cluster"),
+    ("vertices.csv", "training,5", "cluster"),
     ("descriptors.csv", "r1", "net"),
 ])
 def test_cli_malformed_artifact_row_exit_one(tmp_path, capsys, name, row, stage):
@@ -891,7 +893,43 @@ def test_cli_malformed_artifact_row_exit_one(tmp_path, capsys, name, row, stage)
     err = capsys.readouterr().err
     assert code == 1, err
     assert f"stage '{stage}'" in err and "Traceback" not in err
-    if name == "edges.csv":  # an unknown endpoint: the two files disagree
-        assert f"{path}: edge end 'nope' is not a vertex of {out / 'vertices.csv'}" in err
+    assert f"{path}:{len(lines) + 1}: " in err
+    reasons = {  # the rows that make_network would reject, and the two files disagreeing
+        "nope,zzz,3": f"edge end 'nope' is not a vertex of {out / 'vertices.csv'}",
+        "public libraries,public libraries,1": "self-edge on 'public libraries'",
+        "training,5": "vertex 'training' is listed twice",
+    }
+    if row in reasons:
+        assert err.splitlines() == [f"error in stage '{stage}': {path}:{len(lines) + 1}: {reasons[row]}"]
+
+
+# each CSV artifact a stage reads: that stage, and another artifact whose header differs
+FOREIGN_CSV = {
+    "descriptors.csv": ("net", "frequencies.csv"),
+    "vertices.csv": ("cluster", "edges.csv"),
+    "edges.csv": ("cluster", "vertices.csv"),
+}
+
+
+@pytest.mark.parametrize("content", ["empty", "foreign"])
+@pytest.mark.parametrize("name", FOREIGN_CSV)
+def test_subcommands_check_each_csv_header(tmp_path, capsys, name, content):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    stage, foreign = FOREIGN_CSV[name]
+    path = out / name
+    expected = path.read_text(encoding="utf-8").splitlines()[0]
+    if content == "empty":
+        path.write_bytes(b"")
+        message = f"{path}: empty file, expected header {expected}"
     else:
-        assert f"{path}:{len(lines) + 1}: " in err
+        path.write_bytes((out / foreign).read_bytes())
+        found = (out / foreign).read_text(encoding="utf-8").splitlines()[0]
+        message = f"{path}:1: bad header {found!r}, expected {expected!r}"
+    before = snapshot(out)
+    code = main([stage, "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                 "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage '{stage}': {message}"]
+    assert snapshot(out) == before  # nothing written, no *.part left
