@@ -9,10 +9,14 @@ is one row of ``OPTIONS``: flag, ``--config`` key (``key = value`` lines; an
 unknown key is an error), field and help. A value comes from the flag, else
 the config file, else the field's default, which ``--help`` shows. Exit
 codes: 0 success, 1 input error (a bad value names its flag and key; an
-input that cannot be read or decoded, or an output that cannot be written,
-names its file; files are written whole or not at all), 2 pipeline error;
-diagnostics go to stderr, and so does a warning when the layout did not
-converge or the clustering stopped at its sweep cap (the exit code stays 0).
+input that cannot be read or decoded, a CSV row the csv module cannot read
+(a field over ``csv.field_size_limit()``, or a NUL before Python 3.11), or an
+output that cannot be written, names its file, and its line where there is
+one; a descriptor no map label can hold, such as one with a control
+character, names its record; files are written whole or not at all), 2
+pipeline error; diagnostics go to stderr, and so does a warning when the
+layout did not converge or the clustering stopped at its sweep cap (the exit
+code stays 0).
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Exception types shared across the package, the one reader of text files
-(and, through it, of hand-written line files and of CSV files) and the one
-artifact writer."""
+(and, through it, of hand-written line files and of CSV files), the one
+artifact writer and the one CSV encoder (``csv_cell``, ``csv_line``,
+``write_csv``), which gives the bytes ``csv.writer(lineterminator="\\n")``
+gives: UTF-8, comma-separated, LF newlines, minimal quoting."""
 
 from __future__ import annotations
 
 import csv
+import io
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
+from itertools import islice
 from pathlib import Path
 
 
@@ -57,19 +61,23 @@ def content_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]
 
 def csv_rows(path: str | Path, header: list[str], what: str = "") -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each row below ``header`` of a CSV file read
-    through ``artifact_reader``. An empty file, another header or a row of
-    another width is an InputError naming the file, and the line if there is one."""
+    through ``artifact_reader``. An empty file, another header, a row of another
+    width or one the csv module cannot read is an InputError naming the file, and
+    the line if there is one."""
     with artifact_reader(path, what) as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise InputError(f"{path}: empty file, expected header {','.join(header)}")
-        if first != header:
-            raise InputError(f"{path}:1: bad header {','.join(first)!r}, expected {','.join(header)!r}")
-        for row in reader:
-            if len(row) != len(header):
-                raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            yield reader.line_num, row
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise InputError(f"{path}: empty file, expected header {','.join(header)}")
+            if first != header:
+                raise InputError(f"{path}:1: bad header {','.join(first)!r}, expected {','.join(header)!r}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before Python 3.11
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 @contextmanager
@@ -89,3 +97,44 @@ def artifact_writer(path: str | Path):
         if not isinstance(exc, Exception):
             raise
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of
+    several cells (QUOTE_MINIMAL): quoted, with '"' doubled, when it holds ',',
+    '"' or a line feed. Whether a bare carriage return is quoted depends on the
+    Python version, so such text goes through the csv module itself."""
+    if "\r" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((text, None))
+        return buffer.getvalue()[:-2]
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text:
+        return f'"{text}"'
+    return text
+
+
+class Cells(dict):
+    """The CSV cell of each distinct value of a column, made on first use; None is empty."""
+
+    def __missing__(self, value) -> str:
+        self[value] = cell = "" if value is None else csv_cell(str(value))
+        return cell
+
+
+def csv_line(row: Iterable) -> str:
+    """A row of one or more cells as ``csv.writer`` writes it, with its LF: None is an
+    empty cell, any other value its ``str``, and a lone empty cell is ``""``."""
+    return (",".join(["" if value is None else csv_cell(str(value)) for value in row]) or '""') + "\n"
+
+
+def write_csv(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write the ``header`` row and then ``lines``, text already encoded by
+    ``csv_line`` or ``csv_cell``, through ``artifact_writer``: a few thousand
+    pieces a write, so a large file's whole text is never held in memory."""
+    lines = iter(lines)
+    with artifact_writer(path) as fh:
+        fh.write(csv_line(header))
+        while chunk := list(islice(lines, 4096)):
+            fh.write("".join(chunk))

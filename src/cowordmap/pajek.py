@@ -8,6 +8,7 @@ byte-stable for a given network.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .clusters import ClusterPartition
@@ -16,9 +17,14 @@ from .layout import LayoutMap
 from .network import CoNetwork
 
 
+# '"' ends a Pajek label, and map.svg cannot hold what XML 1.0 (§2.2) excludes
+LABEL_FORBIDS = "'\"', a control character other than tab (a line break among them), U+FFFE or U+FFFF"
+_FORBIDDEN = re.compile(r'["\x00-\x08\x0a-\x1f\ufffe\uffff]')
+
+
 def representable(label: str) -> bool:
-    """Whether a label fits the dialect: no '"' and no line break."""
-    return not ('"' in label or "\n" in label or "\r" in label)
+    """Whether a label fits the dialect and the SVG map: it holds none of ``LABEL_FORBIDS``."""
+    return _FORBIDDEN.search(label) is None
 
 
 def _quote(label: str) -> str:

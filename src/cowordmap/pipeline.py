@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from time import perf_counter
@@ -40,7 +40,8 @@ from .compare import compare_networks
 from .errors import InputError, StageError, artifact_writer, csv_rows
 from .layout import LayoutMap, LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, sum_networks, threshold_filter
-from .pajek import read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu, write_pajek_net
+from .pajek import (LABEL_FORBIDS, read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu,
+                    write_pajek_net)
 from .records import (
     DEFAULT_YEAR_RANGE,
     ClassScheme,
@@ -185,9 +186,9 @@ def _count(text: str) -> int:
 
 
 def _label(text: str) -> str:
-    """A descriptor field of a CSV artifact: not blank, and fit for a Pajek label."""
+    """A descriptor field of a CSV artifact: not blank, and fit for a map label (``pajek.representable``)."""
     if not text.strip() or not representable(text):
-        raise ValueError(f"expected a descriptor that is not blank and holds no '\"' or line break, got {text!r}")
+        raise ValueError(f"expected a descriptor that is not blank and holds no {LABEL_FORBIDS}, got {text!r}")
     return text
 
 
@@ -362,10 +363,9 @@ def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
     bad = min((d for d in idx.totals if not representable(d)), default=None)
     if bad is not None:
         rid = next(r.id for r in rs if bad in idx.per_record[r.id])
-        raise InputError(f"record '{rid}': descriptor {bad!r} contains '\"' or a line break, "
-                         "which a Pajek label cannot hold")
-    rows = chain.from_iterable(zip(repeat(r.id), idx.per_record[r.id]) for r in rs)
-    write_descriptors_csv(rows, config.out_dir / DESCRIPTORS_FILE)
+        raise InputError(f"record '{rid}': descriptor {bad!r} holds {LABEL_FORBIDS}, "
+                         "which a map label cannot hold")
+    write_descriptors_csv(idx.per_record, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)
     write_coverage_csv(stats, config.min_occurrences, config.out_dir / COVERAGE_FILE)

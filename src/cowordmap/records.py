@@ -6,21 +6,18 @@ Records live in one flat CSV file with the header
 from each of two classification schemes, applied manually upstream.
 ``parse_records`` reads that file through ``errors.csv_rows``, the one CSV
 reader, which checks its header and the width of each row; ``write_records``
-encodes it directly, to the bytes ``csv.writer`` gives.
+writes it through ``errors.write_csv``, the one CSV encoder.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import InputError, artifact_writer, content_lines, csv_rows
+from .errors import Cells, InputError, content_lines, csv_cell, csv_rows, write_csv
 
 DEFAULT_YEAR_RANGE = (2001, 2012)
 
@@ -166,46 +163,17 @@ def parse_records(
     return RecordSet(tuple(records))
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of
-    several cells (QUOTE_MINIMAL): quoted, with '"' doubled, when it holds ',',
-    '"' or a line feed. Whether a bare carriage return is quoted depends on the
-    Python version, so such text goes through the csv module itself."""
-    if "\r" in text:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((text, None))
-        return buffer.getvalue()[:-2]
-    if '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    if "," in text or "\n" in text:
-        return f'"{text}"'
-    return text
-
-
-class _Cells(dict):
-    """The CSV cell of each distinct value of a column, made on first use; None is empty."""
-
-    def __missing__(self, value) -> str:
-        self[value] = cell = "" if value is None else _csv_cell(str(value))
-        return cell
-
-
 def write_records(rs: RecordSet, path: str | Path) -> None:
     """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8), with
     the bytes ``csv.writer`` gives; a missing class (None) is an empty cell.
 
-    The rows are encoded here, not by the csv module: the source, year and
-    class cells are kept per distinct value, and the id, title and keywords
-    are quoted by ``_csv_cell``. The file is written a few thousand rows at a
-    time, so its whole text is never held in memory."""
-    cells = _Cells()
-    rows = iter(rs)
-    with artifact_writer(path) as fh:
-        fh.write(",".join(RECORDS_HEADER) + "\n")
-        while chunk := list(islice(rows, 4096)):
-            fh.write("".join([f"{_csv_cell(rid)},{cells[source]},{cells[year]},{_csv_cell(title)},"
-                              f"{cells[a]},{cells[b]},{_csv_cell('; '.join(keywords))}\n"
-                              for rid, source, year, title, a, b, keywords in chunk]))
+    Each row is encoded here and written by ``errors.write_csv``: the source,
+    year and class cells are kept per distinct value, and the id, title and
+    keywords are quoted by ``errors.csv_cell``."""
+    cells = Cells()
+    write_csv(path, RECORDS_HEADER, (f"{csv_cell(rid)},{cells[source]},{cells[year]},{csv_cell(title)},"
+                                     f"{cells[a]},{cells[b]},{csv_cell('; '.join(keywords))}\n"
+                                     for rid, source, year, title, a, b, keywords in rs))
 
 
 def filter_records(

@@ -1,17 +1,17 @@
-"""CSV table writers. UTF-8, comma-separated, LF newlines, minimal quoting.
+"""CSV table writers, each a header and rows encoded by ``errors.csv_line``
+(UTF-8, comma-separated, LF newlines, minimal quoting, as ``csv.writer``
+gives) and written by ``errors.write_csv``, imported here under its own name.
 
 The headers of the tables a later stage reads back are constants here, so
 the writer and the reader (``pipeline._csv_rows``) share one spelling."""
 
 from __future__ import annotations
 
-import csv
-from collections.abc import Iterable
 from pathlib import Path
 
 from .clusters import ClusterSummary, format_legend
 from .compare import CompareReport
-from .errors import artifact_writer
+from .errors import Cells, csv_cell, csv_line, write_csv
 from .network import CoNetwork
 from .vocabulary import CoverageStats
 
@@ -20,23 +20,21 @@ VERTICES_HEADER = ["descriptor", "occurrences"]
 EDGES_HEADER = ["keyword1", "keyword2", "weight"]
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    with artifact_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None:
-    write_csv(path, ["descriptor", "count"], freq)
+    write_csv(path, ["descriptor", "count"], map(csv_line, freq))
 
 
-def write_descriptors_csv(rows: Iterable[tuple[str, str]], path: str | Path) -> None:
-    write_csv(path, DESCRIPTORS_HEADER, rows)
+def write_descriptors_csv(per_record: dict[str, tuple[str, ...]], path: str | Path) -> None:
+    """A (record_id, descriptor) row per descriptor of each record, in the order of ``per_record``;
+    each id and each distinct descriptor is encoded once, and each record's rows are one piece."""
+    cell = Cells().__getitem__
+    heads = ((csv_cell(rid) + ",", descriptors) for rid, descriptors in per_record.items() if descriptors)
+    write_csv(path, DESCRIPTORS_HEADER,
+              (head + ("\n" + head).join(map(cell, descriptors)) + "\n" for head, descriptors in heads))
 
 
 def write_distribution_csv(rows: list[tuple[str, int, int]], path: str | Path) -> None:
-    write_csv(path, ["label", "count", "percent"], rows)
+    write_csv(path, ["label", "count", "percent"], map(csv_line, rows))
 
 
 def write_grouped_distribution_csv(
@@ -61,41 +59,25 @@ def write_grouped_distribution_csv(
             _, count, percent = lookup.get(label, (label, 0, 0))
             line += [count, percent]
         table.append(line)
-    write_csv(path, header, table)
+    write_csv(path, header, map(csv_line, table))
 
 
 def write_crosstab_csv(row_labels, col_labels, counts, path: str | Path) -> None:
     rows = [[label] + list(row) for label, row in zip(row_labels, counts)]
-    write_csv(path, ["label", *col_labels], rows)
+    write_csv(path, ["label", *col_labels], map(csv_line, rows))
 
 
 def write_coverage_csv(stats: CoverageStats, min_occ: int, path: str | Path) -> None:
-    write_csv(
-        path,
-        [
-            "min_occurrences",
-            "descriptors_total",
-            "occurrences_total",
-            "descriptors_retained",
-            "occurrences_retained",
-            "percent_retained",
-        ],
-        [
-            [
-                min_occ,
-                stats.n_descriptors_total,
-                stats.n_occurrences_total,
-                stats.n_descriptors_retained,
-                stats.n_occurrences_retained,
-                stats.percent_retained,
-            ]
-        ],
-    )
+    header = ["min_occurrences", "descriptors_total", "occurrences_total", "descriptors_retained",
+              "occurrences_retained", "percent_retained"]
+    row = [min_occ, stats.n_descriptors_total, stats.n_occurrences_total, stats.n_descriptors_retained,
+           stats.n_occurrences_retained, stats.percent_retained]
+    write_csv(path, header, map(csv_line, [row]))
 
 
 def write_unmapped_csv(unmapped: dict[str, int], path: str | Path) -> None:
     rows = sorted(unmapped.items(), key=lambda kv: (-kv[1], kv[0]))
-    write_csv(path, ["raw_keyword", "count"], rows)
+    write_csv(path, ["raw_keyword", "count"], map(csv_line, rows))
 
 
 def write_edges_csv(net: CoNetwork, path: str | Path) -> None:
@@ -106,12 +88,12 @@ def write_edges_csv(net: CoNetwork, path: str | Path) -> None:
         a, b = sorted((net.labels[i], net.labels[j]))
         rows.append((a, b, c))
     rows.sort()
-    write_csv(path, EDGES_HEADER, rows)
+    write_csv(path, EDGES_HEADER, map(csv_line, rows))
 
 
 def write_vertices_csv(net: CoNetwork, path: str | Path) -> None:
     weights = net.require_weights()
-    write_csv(path, VERTICES_HEADER, zip(net.labels, weights))
+    write_csv(path, VERTICES_HEADER, map(csv_line, zip(net.labels, weights)))
 
 
 def write_cluster_summary_csv(summaries: list[ClusterSummary], path: str | Path) -> None:
@@ -120,7 +102,7 @@ def write_cluster_summary_csv(summaries: list[ClusterSummary], path: str | Path)
         (s.cluster_id, legend[k], s.size, "; ".join(label for label, _ in s.members))
         for k, s in enumerate(summaries)
     ]
-    write_csv(path, ["cluster", "legend", "items", "members"], rows)
+    write_csv(path, ["cluster", "legend", "items", "members"], map(csv_line, rows))
 
 
 def _fmt(value) -> str:
@@ -141,4 +123,4 @@ def write_compare_csv(report: CompareReport, path: str | Path) -> None:
         rows.append(
             ("persisted", d, report.links_a.get(d, 0), report.links_b.get(d, 0), report.link_delta(d))
         )
-    write_csv(path, ["section", "item", "value_a", "value_b", "delta"], rows)
+    write_csv(path, ["section", "item", "value_a", "value_b", "delta"], map(csv_line, rows))

@@ -8,6 +8,7 @@ package under test, so agreement between the two is meaningful.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import unicodedata
 from collections import Counter
@@ -391,3 +392,12 @@ def write_records(records, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "source", "year", "title", "class_a", "class_b", "keywords"])
         writer.writerows((*r[:6], "; ".join(r[6])) for r in records)
+
+
+def csv_bytes(header, rows) -> bytes:
+    """A header and rows as the csv module writes them, LF line ends, in UTF-8."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")

@@ -14,7 +14,7 @@ import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
 from cowordmap import clusters, pipeline
 from cowordmap.cli import main
-from cowordmap.errors import InputError, StageError
+from cowordmap.errors import InputError, StageError, csv_line
 from cowordmap.layout import LayoutParams
 from cowordmap.pajek import format_pajek_net, read_pajek_net
 from cowordmap.pipeline import (
@@ -287,8 +287,8 @@ BAD_LABEL_FILES = {  # file: (its rows, with a bad label at "{}", the stage that
 }
 
 
-@pytest.mark.parametrize("label, cell", [('say "hi"', '"say ""hi"""'), ("", ""), ("  ", "  ")],
-                         ids=["quote", "empty", "blank"])
+@pytest.mark.parametrize("label, cell", [('say "hi"', '"say ""hi"""'), ("", ""), ("  ", "  "), ("a\x1bb", "a\x1bb")],
+                         ids=["quote", "empty", "blank", "control"])
 @pytest.mark.parametrize("name", BAD_LABEL_FILES)
 def test_subcommands_reject_unusable_labels(tmp_path, capsys, name, label, cell):
     out = tmp_path / "out"
@@ -302,7 +302,8 @@ def test_subcommands_reject_unusable_labels(tmp_path, capsys, name, label, cell)
     assert code == 1, err
     line = rows.count("\n")
     assert err.splitlines() == [f"error in stage '{stage}': {out / name}:{line}: expected a descriptor that is "
-                                f"not blank and holds no '\"' or line break, got {label!r}"]
+                                f"not blank and holds no '\"', a control character other than tab (a line break "
+                                f"among them), U+FFFE or U+FFFF, got {label!r}"]
     assert not (out / "network.net").exists()
 
 
@@ -379,6 +380,44 @@ def test_cli_mapped_quote_descriptor_fails_normalize(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "stage 'normalize'" in err and "record 'r2'" in err and 'say "hi"' in err
+
+
+@pytest.mark.parametrize("keyword", ["bad\x00keyword", "bad\x01keyword", "bad\x1bkeyword"], ids=["nul", "soh", "esc"])
+def test_cli_control_character_keyword_fails_normalize(tmp_path, capsys, keyword):
+    # map.svg is XML 1.0, which holds no C0 control but tab
+    records = quote_corpus(tmp_path, f"{keyword}; alpha")
+    code = main(["run", "--records", str(records), "--out", str(tmp_path / "out"), "--min-occ", "1"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    expected = (f"error in stage 'normalize': record 'r2': descriptor {keyword!r} holds '\"', a control character "
+                "other than tab (a line break among them), U+FFFE or U+FFFF, which a map label cannot hold")
+    if "\x00" in keyword and sys.version_info < (3, 11):  # the csv module reads a NUL from Python 3.11 on
+        expected = f"error in stage 'ingest': {records}:3: line contains NUL"
+    assert err.splitlines() == [expected]
+    assert not (tmp_path / "out" / "map.svg").exists()
+
+
+@pytest.mark.parametrize("name", ["records.csv", "descriptors.csv"])
+def test_cli_field_over_the_csv_size_limit_exit_one(tmp_path, capsys, name):
+    # one character over the limit (131,072 by default), which is process-wide, so cowordmap does not raise it
+    limit = csv.field_size_limit()
+    out = tmp_path / "out"
+    if name == "records.csv":
+        path, stage = quote_corpus(tmp_path, "alpha"), "ingest"
+        args = ["run", "--records", str(path), "--min-occ", "1"]
+        row = f"r3,WOS,2007,{'t' * (limit + 1)},,,alpha\n"
+    else:
+        run_pipeline(fixture_config(out))
+        path, stage = out / name, "net"
+        args = ["net", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--windows", "2001-2006,2007-2012"]
+        row = f"r1,{'d' * (limit + 1)}\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row)
+    line = path.read_text(encoding="utf-8").count("\n")
+    code = main([*args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage '{stage}': {path}:{line}: field larger than field limit ({limit})"]
 
 
 def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
@@ -731,11 +770,11 @@ def test_runs_in_one_process_share_nothing(tmp_path):
 
 def test_write_csv_failure_keeps_old_file(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, ["a"], [[1], [2]])
+    write_csv(path, ["a"], map(csv_line, [[1], [2]]))
     before = path.read_bytes()
 
     def rows():
-        yield [3]
+        yield csv_line([3])
         raise RuntimeError("row source failed")
 
     with pytest.raises(InputError, match=re.escape(f"cannot write {path}: row source failed")):

@@ -6,6 +6,7 @@ import csv
 import io
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cowordmap.cli import main
+from cowordmap.errors import csv_line
 from cowordmap.clusters import MAX_SWEEPS, ClusterPartition, _local_moving, detect_clusters, modularity
 from cowordmap.network import (
     CoNetwork,
@@ -36,6 +38,7 @@ from cowordmap.records import (
     split_periods,
     write_records,
 )
+from cowordmap.tables import DESCRIPTORS_HEADER, write_csv, write_descriptors_csv
 from cowordmap.vocabulary import OccurrenceIndex, load_mapping, normalize
 
 PROPERTY_SETTINGS = settings(
@@ -161,14 +164,31 @@ _cell = st.text(alphabet=st.sampled_from(',"\r\n; é€') | st.characters(blackl
                 max_size=12)
 
 
+@st.composite
+def csv_tables(draw):
+    """A header and rows of one width, of text, int and None cells."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_cell, min_size=width, max_size=width))
+    return header, draw(st.lists(st.lists(_cell | st.integers() | st.none(), min_size=width, max_size=width),
+                                 max_size=6))
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.builds(Record, _cell, _cell, st.integers(0, 3000), _cell, st.none() | _cell,
-                          st.none() | _cell, st.lists(_cell, max_size=4).map(tuple)), max_size=8))
-def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records):
+                          st.none() | _cell, st.lists(_cell, max_size=4).map(tuple)), max_size=8),
+       st.dictionaries(_cell, st.lists(_cell, max_size=4).map(tuple), max_size=6), csv_tables())
+def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records, per_record, table):
     tmp = tmp_path_factory.mktemp("prop")
     write_records(RecordSet(tuple(records)), tmp / "encoded.csv")
     oracles.write_records(records, tmp / "csv_module.csv")
     assert (tmp / "encoded.csv").read_bytes() == (tmp / "csv_module.csv").read_bytes()
+    # descriptors.csv and every other table go through the same encoder
+    write_descriptors_csv(per_record, tmp / "descriptors.csv")
+    rows = [(rid, descriptor) for rid, descriptors in per_record.items() for descriptor in descriptors]
+    assert (tmp / "descriptors.csv").read_bytes() == oracles.csv_bytes(DESCRIPTORS_HEADER, rows)
+    header, rows = table
+    write_csv(tmp / "table.csv", header, map(csv_line, rows))
+    assert (tmp / "table.csv").read_bytes() == oracles.csv_bytes(header, rows)
 
 
 @PROPERTY_SETTINGS
@@ -442,6 +462,8 @@ def test_cli_run_on_any_records_exits_zero_or_one(tmp_path_factory, data):
                      "--windows", "2001-2006,2007-2012"])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code == 0:  # every label the map holds is text XML 1.0 can hold
+        ElementTree.parse(work / "out" / "map.svg")
 
 
 @st.composite
