@@ -22,7 +22,6 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -134,44 +133,40 @@ def make_network(vertices: list[tuple[str, int]], edges: list[tuple[str, str, in
     return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edge_list)
 
 
-def _from_codes(labels: list[str], totals: dict[str, int], codes: list[np.ndarray],
+def _from_codes(labels: list[str], weights: tuple[int, ...], codes: list[np.ndarray],
                 counts: list[np.ndarray]) -> CoNetwork:
     """The network on ``labels`` whose edge of pair code ``i * n + j`` sums that code's ``counts``."""
     codes, at = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]), return_inverse=True)
     summed = np.zeros(codes.size, np.int64)
     np.add.at(summed, at, np.concatenate([np.zeros(0, np.int64), *counts]))
     i, j = np.divmod(codes, len(labels))
-    return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), np.column_stack((i, j, summed)))
+    return CoNetwork(tuple(labels), weights, np.column_stack((i, j, summed)))
 
 
 def build_network(idx: OccurrenceIndex) -> CoNetwork:
-    """Count document-level co-occurrences over per-record descriptor sets.
+    """Count document-level co-occurrences over the rows of a descriptor table.
 
-    Each record's descriptors are a sorted tuple, each descriptor once; it
-    contributes 1 to every pair of them. Descriptors without a positive total
-    are not vertices and pair with nothing. All records' vertex ids go into
-    one flat int32 array (-1 for a non-vertex, then dropped); the m records
-    holding k vertices form an (m, k) block of it, whose pair codes are
-    counted by ``np.unique`` and freed before the next k.
+    Each row contributes 1 to every pair of its descriptors. The vertices are the
+    descriptors some row holds, weighted by their number of rows, and ranked into
+    canonical order by one stable sort of the vocabulary; an array lookup then
+    renumbers every id. The m rows holding k descriptors form an (m, k) block,
+    whose pair codes are counted by ``np.unique`` and freed before the next k.
     """
-    totals = {d: c for d, c in idx.totals.items() if c > 0}
-    labels = canonical_vertex_order(totals)
-    index = {t: i for i, t in enumerate(labels)}
-    sets = idx.per_record.values()
-    owner = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.int64, len(sets)))
-    ids = np.fromiter(map(index.get, chain.from_iterable(sets), repeat(-1)), np.int32, owner.size)
-    owner, ids = owner[ids >= 0], ids[ids >= 0]
-    per_set = np.bincount(owner, minlength=len(sets))
-    size = per_set[owner]
+    weight = idx.occurrences
+    present = np.flatnonzero(weight)  # in code-point order, so ties stay by label
+    order = present[np.argsort(-weight[present], kind="stable")]
+    rank = np.zeros(weight.size, np.int32)
+    rank[order] = np.arange(order.size)
+    labels, vertex = list(map(idx.vocabulary.__getitem__, order.tolist())), rank[idx.ids]
+    starts, sizes = idx.indptr[:-1], np.diff(idx.indptr)
     codes, counts = [], []
-    # the set sizes by a Python set: a first plain np.unique call costs about 1 MB of peak RSS
-    for k in sorted(set(per_set.tolist()) - {0, 1}):
-        block = np.sort(ids[size == k].reshape(-1, k), axis=1)
+    for k in np.flatnonzero(np.bincount(sizes, minlength=2)[2:]) + 2:
+        block = np.sort(vertex[starts[sizes == k, None] + np.arange(k)], axis=1)
         first, second = np.triu_indices(k, 1)
         group = np.unique(block[:, first].astype(np.int64) * len(labels) + block[:, second], return_counts=True)
         codes.append(group[0])
         counts.append(group[1])
-    return _from_codes(labels, totals, codes, counts)
+    return _from_codes(labels, tuple(weight[order].tolist()), codes, counts)
 
 
 def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
@@ -189,7 +184,7 @@ def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
         i, j = new_id[net.edge_array[:, 0]], new_id[net.edge_array[:, 1]]
         codes.append(np.minimum(i, j) * len(labels) + np.maximum(i, j))
         counts.append(net.edge_array[:, 2])
-    return _from_codes(labels, totals, codes, counts)
+    return _from_codes(labels, tuple(totals[t] for t in labels), codes, counts)
 
 
 def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:

@@ -14,9 +14,9 @@ parses the records once and reads back nothing it wrote, and the stages run
 one by one, each a subcommand, give the same bytes as a full run.
 
 Keywords are normalized once, by ``normalize``. ``net`` builds a period
-network per configured window from the descriptor sets, and the network as
-the sum of those and of the records outside every window; ``compare`` diffs
-two Pajek files, the period networks by default.
+network per configured window from its rows of the descriptor table, and the
+network as the sum of those and of the records outside every window;
+``compare`` diffs two Pajek files, the period networks by default.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
-from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
+
+import numpy as np
 
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
@@ -54,6 +55,7 @@ from .records import (
     load_scheme,
     parse_records,
     split_periods,
+    window_numbers,
     write_records,
 )
 from .svgmap import SvgOptions, write_label_map_svg
@@ -204,16 +206,18 @@ def _csv_rows(path: Path, header: list[str], *types: Callable[[str], object]):
         yield line, fields
 
 
-def _read_descriptor_sets(path: Path) -> dict[str, tuple[str, ...]]:
-    """Each record's descriptors, a sorted tuple with each once, however the rows are ordered."""
-    rows = sorted({fields for _, fields in _csv_rows(path, DESCRIPTORS_HEADER, str, _label)})
-    return {rid: tuple(map(itemgetter(1), group)) for rid, group in groupby(rows, itemgetter(0))}
-
-
-def _cooccurrence_network(per_record: dict[str, tuple[str, ...]]) -> CoNetwork:
-    """Unthresholded network of per-record descriptor sets, as read from descriptors.csv."""
-    totals = Counter(chain.from_iterable(per_record.values()))
-    return build_network(OccurrenceIndex(per_record, dict(totals), {}, 0))
+def _read_descriptor_sets(path: Path, state: RunState) -> OccurrenceIndex:
+    """The table of descriptors.csv: one row per record of ``state.records``, in their
+    order, with each descriptor once however the rows are ordered. The rows are read,
+    and each checked, before the records; a record id that records.csv does not hold
+    names its line."""
+    rows = list(_csv_rows(path, DESCRIPTORS_HEADER, str, _label))
+    sets: dict[str, list[str]] = {rid: [] for rid in map(attrgetter("id"), state.records)}
+    for line, (rid, descriptor) in rows:
+        if rid not in sets:
+            raise InputError(f"{path}:{line}: record {rid!r} is not in {path.with_name(RECORDS_FILE)}")
+        sets[rid].append(descriptor)
+    return OccurrenceIndex.from_sets(sets)
 
 
 def _read_network(config: RunConfig) -> CoNetwork:
@@ -244,11 +248,11 @@ def _read_network(config: RunConfig) -> CoNetwork:
 
 class RunState:
     """What the stages hand on, one field per artifact a later stage reads:
-    ``records`` (records.csv), ``sets`` (descriptors.csv; a sorted tuple per record,
-    each descriptor once), ``net`` (vertices.csv, edges.csv), ``periods`` (the period
-    .net files), ``partition`` (network.clu) and ``layout`` (network.net). A stage
-    sets what it made, as a later stage would read it back; a field no stage has
-    set is read from its file on first use and kept, and a missing file names
+    ``records`` (records.csv), ``sets`` (descriptors.csv; an ``OccurrenceIndex`` table,
+    one row per record of ``records``), ``net`` (vertices.csv, edges.csv), ``periods``
+    (the period .net files), ``partition`` (network.clu) and ``layout`` (network.net).
+    A stage sets what it made, as a later stage would read it back; a field no stage
+    has set is read from its file on first use and kept, and a missing file names
     the stage that writes it."""
 
     def __init__(self, config: RunConfig):
@@ -260,8 +264,8 @@ class RunState:
         return parse_records(path, _schemes(self.config), self.config.year_range)
 
     @cached_property
-    def sets(self) -> dict[str, tuple[str, ...]]:
-        return _read_descriptor_sets(_require(self.config.out_dir / DESCRIPTORS_FILE, "normalize"))
+    def sets(self) -> OccurrenceIndex:
+        return _read_descriptor_sets(_require(self.config.out_dir / DESCRIPTORS_FILE, "normalize"), self)
 
     @cached_property
     def net(self) -> CoNetwork:
@@ -360,18 +364,17 @@ def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
     rs = state.records
     table = MappingTable({}) if config.mapping is None else load_mapping(config.mapping)
     idx = normalize(rs, table, passthrough=config.passthrough)
-    bad = min((d for d in idx.totals if not representable(d)), default=None)
+    bad = min((d for d in idx.vocabulary if not representable(d)), default=None)
     if bad is not None:
-        rid = next(r.id for r in rs if bad in idx.per_record[r.id])
+        rid = next(rid for rid, s in idx.per_record.items() if bad in s)
         raise InputError(f"record '{rid}': descriptor {bad!r} holds {LABEL_FORBIDS}, "
                          "which a map label cannot hold")
-    write_descriptors_csv(idx.per_record, config.out_dir / DESCRIPTORS_FILE)
+    write_descriptors_csv(idx, config.out_dir / DESCRIPTORS_FILE)
     write_frequencies_csv(descriptor_frequencies(idx), config.out_dir / FREQUENCIES_FILE)
     stats = coverage_stats(idx, config.min_occurrences)
     write_coverage_csv(stats, config.min_occurrences, config.out_dir / COVERAGE_FILE)
     write_unmapped_csv(idx.unmapped, config.out_dir / UNMAPPED_FILE)
-    # the sets descriptors.csv holds: a record without descriptors has no row there
-    state.sets = {rid: s for rid, s in idx.per_record.items() if s}
+    state.sets = idx
     return {
         "descriptors": stats.n_descriptors_total,
         "occurrences": stats.n_occurrences_total,
@@ -382,24 +385,21 @@ def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
 
 def stage_net(config: RunConfig, *, state: RunState) -> dict:
     """Build the co-occurrence network and apply the frequency threshold; likewise
-    one period network per configured window, from the sets of its records.
+    one period network per configured window, from the rows of its records.
     The full network is the sum of the period networks and the network of the
     records outside every window, so each record's pairs are counted once."""
-    per_record = state.sets
-    periods = []
-    if config.windows:
-        periods = [[r.id for r in sub] for sub in split_periods(state.records, list(config.windows))]
-    # net is the last user of both: only the window ids are kept, so the records
-    # are freed before any pair is counted, and the sets with this stage
-    state.records = state.sets = None
+    table = state.sets
+    window = np.array(window_numbers(state.records, config.windows))  # row r of the table is record r
+    state.records = state.sets = None  # net is the last user of both
     nets, kept = [], []
-    for window, ids in zip(config.windows, periods):
-        period = _cooccurrence_network({rid: per_record.pop(rid) for rid in ids if rid in per_record})
+    for k, w in enumerate(config.windows):
+        period = build_network(table.select(np.flatnonzero(window == k)))
         kept.append(threshold_filter(period, config.min_occurrences))
-        write_pajek_net(kept[-1], None, _period_net_path(config, window))
+        write_pajek_net(kept[-1], None, _period_net_path(config, w))
         nets.append(period)
-    if per_record or not nets:
-        nets.append(_cooccurrence_network(per_record))  # the records outside every window
+    rest = np.flatnonzero((window == len(config.windows)) & (np.diff(table.indptr) > 0))
+    if rest.size or not nets:
+        nets.append(build_network(table.select(rest)))  # the records outside every window
     full = sum_networks(nets)
     net = threshold_filter(full, config.min_occurrences)
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)

@@ -198,20 +198,21 @@ def check_disjoint(windows: tuple[PeriodWindow, ...] | list[PeriodWindow]) -> No
                 raise InputError(f"windows {a.label} and {b.label} overlap")
 
 
-def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]:
-    """One RecordSet per window; records outside every window are dropped.
-
-    Windows must be pairwise disjoint, so each record lands in at most one
-    output.
-    """
+def window_numbers(rs: RecordSet, windows: list[PeriodWindow] | tuple[PeriodWindow, ...]) -> list[int]:
+    """Each record's window number, ``len(windows)`` for a record outside every window.
+    Windows must be pairwise disjoint; each distinct year is looked up once."""
     check_disjoint(windows)
-    buckets: list[list[Record]] = [[] for _ in windows]
-    # each distinct year is looked up once; a year outside every window gets a list of its own
-    bucket_of = {year: next((b for w, b in zip(windows, buckets) if year in w), [])
-                 for year in set(map(attrgetter("year"), rs))}
-    for r in rs:
-        bucket_of[r.year].append(r)
-    return [RecordSet(tuple(bucket)) for bucket in buckets]
+    years = list(map(attrgetter("year"), rs))
+    number = {year: next((k for k, w in enumerate(windows) if year in w), len(windows)) for year in set(years)}
+    return list(map(number.__getitem__, years))
+
+
+def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]:
+    """One RecordSet per window; records outside every window are dropped."""
+    buckets: list[list[Record]] = [[] for _ in range(len(windows) + 1)]
+    for r, k in zip(rs, window_numbers(rs, windows)):
+        buckets[k].append(r)
+    return [RecordSet(tuple(bucket)) for bucket in buckets[:-1]]
 
 
 def percent_round_half_up(count: int, total: int) -> int:

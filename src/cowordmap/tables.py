@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .clusters import ClusterSummary, format_legend
 from .compare import CompareReport
-from .errors import Cells, csv_cell, csv_line, write_csv
+from .errors import csv_cell, csv_line, write_csv
 from .network import CoNetwork
-from .vocabulary import CoverageStats
+from .vocabulary import CoverageStats, OccurrenceIndex
 
 DESCRIPTORS_HEADER = ["record_id", "descriptor"]
 VERTICES_HEADER = ["descriptor", "occurrences"]
@@ -24,13 +26,14 @@ def write_frequencies_csv(freq: list[tuple[str, int]], path: str | Path) -> None
     write_csv(path, ["descriptor", "count"], map(csv_line, freq))
 
 
-def write_descriptors_csv(per_record: dict[str, tuple[str, ...]], path: str | Path) -> None:
-    """A (record_id, descriptor) row per descriptor of each record, in the order of ``per_record``;
-    each id and each distinct descriptor is encoded once, and each record's rows are one piece."""
-    cell = Cells().__getitem__
-    heads = ((csv_cell(rid) + ",", descriptors) for rid, descriptors in per_record.items() if descriptors)
-    write_csv(path, DESCRIPTORS_HEADER,
-              (head + ("\n" + head).join(map(cell, descriptors)) + "\n" for head, descriptors in heads))
+def write_descriptors_csv(idx: OccurrenceIndex, path: str | Path) -> None:
+    """A (record_id, descriptor) row per descriptor of each row of the table ``idx``, in its
+    order; a record without descriptors has no row. Each vocabulary cell is encoded once
+    and gathered by ``idx.ids``, and each record's rows are one piece."""
+    gathered = np.array(list(map(csv_cell, idx.vocabulary)), object)[idx.ids].tolist()
+    bounds = idx.indptr.tolist()
+    heads = ((csv_cell(rid) + ",", a, b) for rid, a, b in zip(idx.records, bounds, bounds[1:]) if a < b)
+    write_csv(path, DESCRIPTORS_HEADER, (head + ("\n" + head).join(gathered[a:b]) + "\n" for head, a, b in heads))
 
 
 def write_distribution_csv(rows: list[tuple[str, int, int]], path: str | Path) -> None:

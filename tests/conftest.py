@@ -51,12 +51,7 @@ def random_network(rng: np.random.Generator, n_descriptors: int = 8, n_records: 
         size = int(rng.integers(1, min(6, n_descriptors) + 1))
         chosen = rng.choice(n_descriptors, size=size, replace=False)
         per_record[f"r{r}"] = frozenset(names[i] for i in chosen)
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    idx = OccurrenceIndex(per_record, totals, {}, 0)
-    return build_network(idx)
+    return build_network(OccurrenceIndex.from_sets(per_record))
 
 
 def connected_random_network(rng: np.random.Generator, n: int) -> CoNetwork:
@@ -73,11 +68,7 @@ def connected_random_network(rng: np.random.Generator, n: int) -> CoNetwork:
         chosen = rng.choice(n, size=min(size, n), replace=False)
         per_record[f"x{rid}"] = frozenset(names[i] for i in chosen)
         rid += 1
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    return build_network(OccurrenceIndex(per_record, totals, {}, 0))
+    return build_network(OccurrenceIndex.from_sets(per_record))
 
 
 __all__ = ["make_network", "random_network", "connected_random_network"]

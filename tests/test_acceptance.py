@@ -52,11 +52,7 @@ def synthetic_index(rng, max_descriptors, max_records):
         size = int(rng.integers(1, min(8, n_desc) + 1))
         chosen = rng.choice(n_desc, size=size, replace=False)
         per_record[f"r{i}"] = frozenset(names[k] for k in chosen)
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    return OccurrenceIndex(per_record, totals, {}, 0)
+    return OccurrenceIndex.from_sets(per_record)
 
 
 def test_coverage_arithmetic():

@@ -22,12 +22,7 @@ from cowordmap.vocabulary import MappingTable, OccurrenceIndex, normalize
 
 
 def index_of_sets(*sets):
-    per_record = {f"r{i}": frozenset(s) for i, s in enumerate(sets)}
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    return OccurrenceIndex(per_record, totals, {}, 0)
+    return OccurrenceIndex.from_sets({f"r{i}": frozenset(s) for i, s in enumerate(sets)})
 
 
 def oracle_fixture_pairs():
@@ -79,12 +74,7 @@ def test_canonical_vertex_order(fixture_network):
 
 
 def test_build_order_independent(fixture_index):
-    reversed_idx = OccurrenceIndex(
-        dict(reversed(list(fixture_index.per_record.items()))),
-        fixture_index.totals,
-        {},
-        0,
-    )
+    reversed_idx = OccurrenceIndex.from_sets(dict(reversed(list(fixture_index.per_record.items()))))
     a = build_network(fixture_index)
     b = build_network(reversed_idx)
     assert a == b
@@ -129,8 +119,7 @@ def test_threshold_before_or_after_construction_equivalent(fixture_index):
         rid: frozenset(d for d in s if d in keep)
         for rid, s in fixture_index.per_record.items()
     }
-    totals = {d: c for d, c in fixture_index.totals.items() if d in keep}
-    before = build_network(OccurrenceIndex(filtered_sets, totals, {}, 0))
+    before = build_network(OccurrenceIndex.from_sets(filtered_sets))
     assert before == after
 
 

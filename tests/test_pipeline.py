@@ -28,7 +28,7 @@ from cowordmap.pipeline import (
 from cowordmap.network import CoNetwork, build_network, threshold_filter
 from cowordmap.records import PeriodWindow, parse_records, split_periods
 from cowordmap.tables import write_csv
-from cowordmap.vocabulary import normalize
+from cowordmap.vocabulary import OccurrenceIndex, normalize
 
 EXPECTED_FILES = {
     "records.csv",
@@ -730,6 +730,34 @@ def test_run_makes_no_edge_tuples(tmp_path, monkeypatch):
     monkeypatch.setattr(CoNetwork, "edges", property(unexpected))
     manifest = run_pipeline(fixture_config(tmp_path / "out", windows=OUTSIDE_WINDOWS, min_occurrences=2))
     assert manifest["stages"]["net"]["edges"] > 0
+
+
+def test_run_builds_no_per_record_views(tmp_path, monkeypatch):
+    # normalize's table goes from normalize to pair counting as arrays: no record's
+    # tuple and no descriptor -> total dict is made
+    def unexpected(idx):
+        raise AssertionError(f"dict view of a {len(idx.records)}-record table")
+
+    for view in ("per_record", "totals"):
+        monkeypatch.setattr(OccurrenceIndex, view, property(unexpected))
+    manifest = run_pipeline(fixture_config(tmp_path / "out", windows=OUTSIDE_WINDOWS, min_occurrences=2))
+    assert manifest["stages"]["net"]["edges"] > 0
+
+
+def test_net_rejects_descriptors_of_a_record_records_csv_does_not_hold(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out), "--min-occ", "2"]
+    assert main(["run", *args]) == 0, capsys.readouterr().err
+    path = out / "descriptors.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines) + "zzz,digital libraries\nzzz,public libraries\n", encoding="utf-8")
+    before = snapshot(out)
+    code = main(["net", *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage 'net': {path}:{len(lines) + 1}: record 'zzz' is not in "
+                                f"{out / 'records.csv'}"]
+    assert snapshot(out) == before
 
 
 def test_runs_in_one_process_share_nothing(tmp_path):

@@ -26,6 +26,7 @@ from cowordmap.network import (
     threshold_filter,
 )
 from cowordmap.pajek import format_pajek_net, read_pajek_net
+from cowordmap.pipeline import RunConfig, RunState
 from cowordmap.records import (
     RECORDS_HEADER,
     ClassScheme,
@@ -39,7 +40,7 @@ from cowordmap.records import (
     write_records,
 )
 from cowordmap.tables import DESCRIPTORS_HEADER, write_csv, write_descriptors_csv
-from cowordmap.vocabulary import OccurrenceIndex, load_mapping, normalize
+from cowordmap.vocabulary import MappingTable, OccurrenceIndex, load_mapping, match_key, normalize
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -90,11 +91,7 @@ def occurrence_indexes(draw, max_descriptors=10, max_records=25):
     for i in range(n_rec):
         members = draw(st.sets(st.sampled_from(names), max_size=min(6, n_desc)))
         per_record[f"r{i}"] = frozenset(members)
-    totals: dict[str, int] = {}
-    for s in per_record.values():
-        for d in s:
-            totals[d] = totals.get(d, 0) + 1
-    return OccurrenceIndex(per_record, totals, {}, 0)
+    return OccurrenceIndex.from_sets(per_record)
 
 
 @PROPERTY_SETTINGS
@@ -176,14 +173,16 @@ def csv_tables(draw):
 @PROPERTY_SETTINGS
 @given(st.lists(st.builds(Record, _cell, _cell, st.integers(0, 3000), _cell, st.none() | _cell,
                           st.none() | _cell, st.lists(_cell, max_size=4).map(tuple)), max_size=8),
-       st.dictionaries(_cell, st.lists(_cell, max_size=4).map(tuple), max_size=6), csv_tables())
+       st.dictionaries(_cell, st.lists(_cell, max_size=4, unique=True).map(sorted).map(tuple), max_size=6),
+       csv_tables())
 def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records, per_record, table):
     tmp = tmp_path_factory.mktemp("prop")
     write_records(RecordSet(tuple(records)), tmp / "encoded.csv")
     oracles.write_records(records, tmp / "csv_module.csv")
     assert (tmp / "encoded.csv").read_bytes() == (tmp / "csv_module.csv").read_bytes()
     # descriptors.csv and every other table go through the same encoder
-    write_descriptors_csv(per_record, tmp / "descriptors.csv")
+    # each record's descriptors a sorted tuple of distinct cells, the one shape a table holds
+    write_descriptors_csv(OccurrenceIndex.from_sets(per_record), tmp / "descriptors.csv")
     rows = [(rid, descriptor) for rid, descriptors in per_record.items() for descriptor in descriptors]
     assert (tmp / "descriptors.csv").read_bytes() == oracles.csv_bytes(DESCRIPTORS_HEADER, rows)
     header, rows = table
@@ -218,29 +217,20 @@ def test_threshold_composition_and_monotonicity(idx, a, b):
 def test_build_network_order_independent(idx, rnd):
     items = list(idx.per_record.items())
     rnd.shuffle(items)
-    shuffled = OccurrenceIndex(dict(items), idx.totals, {}, 0)
+    shuffled = OccurrenceIndex.from_sets(dict(items))
     assert build_network(idx) == build_network(shuffled)
 
 
 @st.composite
 def loose_indexes(draw, max_descriptors=10, max_records=25):
-    """Indexes whose totals need not be the counts of their sets: a descriptor
-    may be missing from ``totals``, have a total of 0 or any other total.
-    Sets may be empty or singletons."""
+    """Tables whose vocabulary may hold descriptors that no row holds (a total
+    of 0), as the rows a window selects from a table do. Sets may be empty or
+    singletons."""
     names = [f"k{i}" for i in range(draw(st.integers(1, max_descriptors)))]
     sets = draw(st.lists(st.sets(st.sampled_from(names), max_size=min(6, len(names))), max_size=max_records))
-    per_record = {f"r{i}": frozenset(s) for i, s in enumerate(sets)}
-    counted = oracles.occurrence_totals(per_record)
-    totals = {}
-    for d in names:
-        kind = draw(st.sampled_from(("counted", "missing", "zero", "other")))
-        if kind == "counted":
-            totals[d] = counted[d]
-        elif kind == "zero":
-            totals[d] = 0
-        elif kind == "other":
-            totals[d] = draw(st.integers(1, 30))
-    return OccurrenceIndex(per_record, totals, {}, 0)
+    table = OccurrenceIndex.from_sets({f"r{i}": frozenset(s) for i, s in enumerate(sets)})
+    kept = draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    return table.select(np.flatnonzero(kept))
 
 
 @PROPERTY_SETTINGS
@@ -267,7 +257,7 @@ def test_group_networks_sum_to_one_build(idx, n_groups, data):
     nets = []
     for g in range(n_groups):
         sets = {rid: s for rid, s in idx.per_record.items() if group_of[rid] == g}
-        nets.append(build_network(OccurrenceIndex(sets, dict(oracles.occurrence_totals(sets)), {}, 0)))
+        nets.append(build_network(OccurrenceIndex.from_sets(sets)))
     assert sum_networks(iter(nets)) == build_network(idx)
 
 
@@ -284,8 +274,8 @@ GROUPS = 3
 @given(loose_indexes(), st.lists(st.integers(0, GROUPS - 1), min_size=25, max_size=25), st.integers(1, 40))
 # empty and one-descriptor sets, a descriptor whose total is 0, a group with no
 # records, and a threshold above every weight
-@example(OccurrenceIndex({"r0": frozenset(), "r1": frozenset({"k0"}), "r2": frozenset({"k0", "k1", "k2"}),
-                          "r3": frozenset({"k1", "k2"})}, {"k0": 2, "k1": 0, "k2": 2}, {}, 0),
+@example(OccurrenceIndex.from_sets({"r0": (), "r1": ("k0",), "r2": ("k0", "k1", "k2"), "r3": ("k1", "k2"),
+                                     "r4": ("k3",)}).select([0, 1, 2, 3]),
          [0, 0, 1, 1] + [0] * 21, 99)
 def test_array_networks_match_the_tuple_reference(idx, group_of, min_occ):
     # each disjoint record group, their sum and its threshold, against the
@@ -296,7 +286,7 @@ def test_array_networks_match_the_tuple_reference(idx, group_of, min_occ):
     for g in range(GROUPS):
         sets = {rid: s for k, (rid, s) in enumerate(idx.per_record.items()) if group_of[k] == g}
         totals = {d: 0 if d in zero else c for d, c in oracles.occurrence_totals(sets).items()}
-        nets.append(build_network(OccurrenceIndex(sets, totals, {}, 0)))
+        nets.append(build_network(OccurrenceIndex.from_sets(sets)))
         refs.append(oracles.build_network(sets, totals))
         assert as_tuples(nets[-1]) == refs[-1]
         assert as_tuples(threshold_filter(nets[-1], min_occ)) == oracles.threshold_filter(refs[-1], min_occ)
@@ -416,6 +406,43 @@ def test_normalize_matches_brute_force_oracle(tmp_path_factory, words, passthrou
     assert idx.totals == dict(totals)
     assert idx.unmapped == dict(unmapped)
     assert idx.token_count == tokens
+
+
+def assert_same_table(got: OccurrenceIndex, expected: OccurrenceIndex):
+    assert got.records == expected.records and got.vocabulary == expected.vocabulary
+    for name in ("indptr", "ids"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@st.composite
+def normalized(draw):
+    """A record set and its table under a mapping of some of its keywords, with or without passthrough."""
+    rs = draw(record_sets())
+    keys = sorted({match_key(k) for r in rs for k in r.raw_keywords})
+    mapped = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(("X", "Y")))) if keys else {}
+    return rs, normalize(rs, MappingTable(mapped), draw(st.booleans()))
+
+
+@PROPERTY_SETTINGS
+@given(normalized())
+def test_table_from_normalized_sets_is_the_normalized_table(case):
+    _, idx = case
+    assert_same_table(OccurrenceIndex.from_sets(idx.per_record), idx)
+    assert sum(map(len, idx.per_record.values())) == idx.ids.size == sum(idx.totals.values())
+    assert np.all(np.diff(idx.indptr) >= 0) and idx.indptr[0] == 0 and idx.indptr[-1] == idx.ids.size
+
+
+@PROPERTY_SETTINGS
+@given(normalized())
+def test_descriptors_file_reads_back_as_the_normalized_table(tmp_path_factory, case):
+    # a record without descriptors has no row in the file, and an empty row in both tables
+    rs, idx = case
+    out = tmp_path_factory.mktemp("prop")
+    write_descriptors_csv(idx, out / "descriptors.csv")
+    state = RunState(RunConfig(out_dir=out))
+    state.records = rs
+    assert_same_table(state.sets, idx)
 
 
 @PROPERTY_SETTINGS

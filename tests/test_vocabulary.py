@@ -154,9 +154,11 @@ def test_frequencies_fixture_top10(fixture_index):
 
 
 def _index_with(totals):
+    # record r holds every descriptor whose total is above r
     from cowordmap.vocabulary import OccurrenceIndex
 
-    return OccurrenceIndex({}, dict(totals), {}, sum(totals.values()))
+    rows = range(max(totals.values(), default=0))
+    return OccurrenceIndex.from_sets({f"r{r}": [d for d, c in totals.items() if c > r] for r in rows})
 
 
 def test_coverage_reproduces_published_arithmetic():
