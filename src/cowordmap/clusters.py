@@ -176,8 +176,8 @@ def detect_clusters(
     """
     if net.n_vertices == 0:
         raise ValueError("cannot cluster an empty network")
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     w = _weight_matrix(net, use_similarity)
     n = net.n_vertices
     raw = np.zeros(n, dtype=int)

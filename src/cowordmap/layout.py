@@ -40,12 +40,12 @@ class LayoutParams:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -422,8 +422,8 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     )
 
 
-def normalize_unit_square(coords: np.ndarray) -> np.ndarray:
-    """Uniformly rescale into [0,1]^2, centering the short dimension."""
+def normalize_unit_square(coords: np.ndarray, side: float = 1.0) -> np.ndarray:
+    """Uniformly rescale into [0, side]^2, centering the short dimension."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape[0] == 0:
         return coords.copy()
@@ -431,9 +431,9 @@ def normalize_unit_square(coords: np.ndarray) -> np.ndarray:
     spans = coords.max(axis=0) - mins
     largest = float(spans.max())
     if largest == 0.0:
-        return np.full_like(coords, 0.5)
-    s = 1.0 / largest
-    return (coords - mins) * s + (1.0 - s * spans) / 2.0
+        return np.full_like(coords, side / 2.0)
+    s = side / largest
+    return (coords - mins) * s + (side - s * spans) / 2.0
 
 
 def pack_components(components: list[np.ndarray]) -> list[np.ndarray]:
@@ -450,17 +450,8 @@ def pack_components(components: list[np.ndarray]) -> list[np.ndarray]:
 
     boxes = []  # (side, content coords relative to the box origin)
     for c in components:
-        size = c.shape[0]
-        side = float(np.sqrt(size))
-        mins = c.min(axis=0) if size else np.zeros(2)
-        spans = (c.max(axis=0) - mins) if size else np.zeros(2)
-        largest = float(spans.max()) if size else 0.0
-        if largest == 0.0:
-            rel = np.full((size, 2), side / 2.0)
-        else:
-            s = side / largest
-            rel = (c - mins) * s + (side - s * spans) / 2.0
-        boxes.append((side, rel))
+        side = float(np.sqrt(c.shape[0]))
+        boxes.append((side, normalize_unit_square(c, side)))
 
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i][0], i))
     max_side = max(side for side, _ in boxes)

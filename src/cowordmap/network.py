@@ -8,18 +8,18 @@ order is canonical: weight descending, ties by label.
 A network holds its edges once, as an (E, 3) int64 array of ``i, j, count``
 rows (``CoNetwork.edge_array``), and every operation here works on that
 array; the tuple of triples ``CoNetwork.edges`` is made only when asked for.
-``build_network`` counts pairs in numpy: the pair (i, j), i < j, of an
-n-vertex network is the int64 code ``i * n + j``, so ascending codes are the
-edges in (i, j) order. The network of disjoint record groups is the sum of
-theirs (``sum_networks``, which relabels each part's edges and sums their
-codes the same way), so a record's pairs are counted once however many
-networks it belongs to.
+``build_network`` counts the pairs of every window of a run in one pass over
+the descriptor table: the pair of vocabulary ids a < b in a row of window w
+is the int64 code ``(w * V + a) * V + b``, V the vocabulary size, so sorting
+the codes makes each window's pairs one slice, and a record's pairs are
+counted once however many networks it belongs to. ``make_network`` and
+``build_network`` share one ranking of the vertices into canonical order and
+one sum of pair counts (``_network``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,80 +111,81 @@ class NetworkMetrics:
     components: int
 
 
-def canonical_vertex_order(totals: dict[str, int]) -> list[str]:
-    return sorted(totals, key=lambda t: (-totals[t], t))
+def _network(vocabulary: Sequence[str], weight: np.ndarray, pair: np.ndarray, count: np.ndarray) -> CoNetwork:
+    """The network on the descriptors of positive ``weight`` (one entry per descriptor of the
+    sorted ``vocabulary``), in canonical order, whose edge {a, b} sums the ``count`` of every
+    pair code ``a * V + b`` of vocabulary ids a != b, V = ``len(vocabulary)``. The codes are
+    renumbered and summed in place, as a run's full network has many."""
+    present = np.flatnonzero(weight)
+    order = present[np.argsort(-weight[present], kind="stable")]  # ties stay by label
+    rank = np.zeros(weight.size, np.int64)
+    rank[order] = np.arange(order.size)
+    i, j = np.divmod(pair, max(weight.size, 1))
+    np.take(rank, i, out=i)
+    np.take(rank, j, out=j)
+    swap = i > j
+    i[swap], j[swap] = j[swap], i[swap]
+    i *= order.size
+    i += j
+    del j, swap
+    count = count[i.argsort()]
+    i.sort()  # the codes, in the order of ``count``
+    first = np.flatnonzero(np.diff(i, prepend=-1))  # where each edge's codes start
+    count = np.add.reduceat(count, first)
+    i, j = np.divmod(i[first], max(order.size, 1))
+    return CoNetwork(tuple(map(vocabulary.__getitem__, order.tolist())), tuple(weight[order].tolist()),
+                     np.column_stack((i, j, count)))
 
 
 def make_network(vertices: list[tuple[str, int]], edges: list[tuple[str, str, int]]) -> CoNetwork:
-    """Build a CoNetwork from labelled data, applying the canonical order."""
+    """Build a CoNetwork from labelled data, applying the canonical order; the counts of an
+    edge listed more than once add up. Every vertex weight must be positive."""
     totals = dict(vertices)
+    vocabulary = sorted(totals)
+    weight = np.array([totals[t] for t in vocabulary], np.int64)
     if len(totals) != len(vertices):
         raise ValueError("duplicate vertex labels")
-    labels = canonical_vertex_order(totals)
-    index = {t: i for i, t in enumerate(labels)}
-    packed = {}
-    for a, b, c in edges:
-        i, j = index[a], index[b]
-        if i == j:
-            raise ValueError(f"self-edge on '{a}'")
-        key = (i, j) if i < j else (j, i)
-        packed[key] = packed.get(key, 0) + c
-    edge_list = tuple(sorted((i, j, c) for (i, j), c in packed.items()))
-    return CoNetwork(tuple(labels), tuple(totals[t] for t in labels), edge_list)
+    if (weight < 1).any():
+        raise ValueError(f"vertex '{vocabulary[weight.argmin()]}' has non-positive weight {weight.min()}")
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    pair = np.array([index[a] * len(index) + index[b] for a, b, _ in edges], np.int64)
+    return _network(vocabulary, weight, pair, np.array([c for _, _, c in edges]))
 
 
-def _from_codes(labels: list[str], weights: tuple[int, ...], codes: list[np.ndarray],
-                counts: list[np.ndarray]) -> CoNetwork:
-    """The network on ``labels`` whose edge of pair code ``i * n + j`` sums that code's ``counts``."""
-    codes, at = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]), return_inverse=True)
-    summed = np.zeros(codes.size, np.int64)
-    np.add.at(summed, at, np.concatenate([np.zeros(0, np.int64), *counts]))
-    i, j = np.divmod(codes, len(labels))
-    return CoNetwork(tuple(labels), weights, np.column_stack((i, j, summed)))
+def build_network(idx: OccurrenceIndex, window: Sequence[int] | None = None, windows: int = 0) -> list[CoNetwork]:
+    """Count document-level co-occurrences over the rows of a descriptor table, for every
+    window at once: the network of the rows of each window k < ``windows``, then the network
+    of all rows.
 
-
-def build_network(idx: OccurrenceIndex) -> CoNetwork:
-    """Count document-level co-occurrences over the rows of a descriptor table.
-
-    Each row contributes 1 to every pair of its descriptors. The vertices are the
-    descriptors some row holds, weighted by their number of rows, and ranked into
-    canonical order by one stable sort of the vocabulary; an array lookup then
-    renumbers every id. The m rows holding k descriptors form an (m, k) block,
-    whose pair codes are counted by ``np.unique`` and freed before the next k.
+    Row r is in window ``window[r]``, which is ``windows`` for a row outside every window (by
+    default, every row). Each row contributes 1 to every pair of its descriptors, and a
+    network's vertices are the descriptors its rows hold, weighted by their number of rows.
+    The m rows holding k ids form an (m, k) block, whose codes ``(window * V + a) * V + b``
+    of pairs a < b ``np.unique`` counts; one sort of every block's codes then orders them by
+    window and then by pair, so each window's pairs are one slice.
     """
-    weight = idx.occurrences
-    present = np.flatnonzero(weight)  # in code-point order, so ties stay by label
-    order = present[np.argsort(-weight[present], kind="stable")]
-    rank = np.zeros(weight.size, np.int32)
-    rank[order] = np.arange(order.size)
-    labels, vertex = list(map(idx.vocabulary.__getitem__, order.tolist())), rank[idx.ids]
-    starts, sizes = idx.indptr[:-1], np.diff(idx.indptr)
-    codes, counts = [], []
+    size, starts, sizes = len(idx.vocabulary), idx.indptr[:-1], np.diff(idx.indptr)
+    window = np.zeros(sizes.size, np.int64) if window is None else np.asarray(window, np.int64)
+    weight = np.bincount(np.repeat(window, sizes) * size + idx.ids, minlength=(windows + 1) * size)
+    codes, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for k in np.flatnonzero(np.bincount(sizes, minlength=2)[2:]) + 2:
-        block = np.sort(vertex[starts[sizes == k, None] + np.arange(k)], axis=1)
+        rows = np.flatnonzero(sizes == k)
+        block = idx.ids[starts[rows, None] + np.arange(k)]  # ids ascend within a row
         first, second = np.triu_indices(k, 1)
-        group = np.unique(block[:, first].astype(np.int64) * len(labels) + block[:, second], return_counts=True)
-        codes.append(group[0])
-        counts.append(group[1])
-    return _from_codes(labels, tuple(weight[order].tolist()), codes, counts)
-
-
-def sum_networks(nets: Iterable[CoNetwork]) -> CoNetwork:
-    """The network of the union of disjoint record groups, from the groups'
-    networks: weights summed by label, edge counts summed by label pair."""
-    nets = list(nets)
-    totals: Counter[str] = Counter()
-    for net in nets:
-        totals.update(dict(zip(net.labels, net.require_weights())))
-    labels = canonical_vertex_order(totals)
-    index = {t: i for i, t in enumerate(labels)}
-    codes, counts = [], []
-    for net in nets:
-        new_id = np.fromiter(map(index.__getitem__, net.labels), np.int64, net.n_vertices)
-        i, j = new_id[net.edge_array[:, 0]], new_id[net.edge_array[:, 1]]
-        codes.append(np.minimum(i, j) * len(labels) + np.maximum(i, j))
-        counts.append(net.edge_array[:, 2])
-    return _from_codes(labels, tuple(totals[t] for t in labels), codes, counts)
+        code, count = np.unique((window[rows, None] * size + block[:, first]) * size + block[:, second],
+                                return_counts=True)
+        codes.append(code)
+        counts.append(count)
+    code, count = np.concatenate(codes), np.concatenate(counts)
+    del codes, counts
+    count = count[code.argsort()]
+    code.sort()  # by window, then by pair, in the order of ``count``
+    start = np.searchsorted(code, np.arange(windows + 1) * size * size).tolist()
+    code %= max(size * size, 1)  # the pair, without its window
+    weight = weight.reshape(windows + 1, size)
+    full = _network(idx.vocabulary, weight.sum(axis=0), code, count)  # first, while no other network is held
+    return [_network(idx.vocabulary, weight[k], code[start[k]:start[k + 1]], count[start[k]:start[k + 1]])
+            for k in range(windows)] + [full]
 
 
 def _induced(net: CoNetwork, keep: Sequence[int]) -> CoNetwork:

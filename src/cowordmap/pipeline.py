@@ -13,16 +13,17 @@ earlier stage of the process set them, else from their files. So ``run``
 parses the records once and reads back nothing it wrote, and the stages run
 one by one, each a subcommand, give the same bytes as a full run.
 
-Keywords are normalized once, by ``normalize``. ``net`` builds a period
-network per configured window from its rows of the descriptor table, and the
-network as the sum of those and of the records outside every window;
-``compare`` diffs two Pajek files, the period networks by default.
+Keywords are normalized once, by ``normalize``. ``net`` counts the pairs of
+the descriptor table once, into a period network per configured window and
+the network of all records; ``compare`` diffs two Pajek files, the period
+networks by default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -33,14 +34,12 @@ from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
 from .errors import InputError, StageError, artifact_writer, csv_rows
 from .layout import LayoutMap, LayoutParams, layout_network
-from .network import CoNetwork, build_network, make_network, sum_networks, threshold_filter
+from .network import CoNetwork, build_network, make_network, threshold_filter
 from .pajek import (LABEL_FORBIDS, read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu,
                     write_pajek_net)
 from .records import (
@@ -126,8 +125,8 @@ class RunConfig:
     def __post_init__(self):
         if self.min_occurrences < 1:
             raise ValueError(f"min_occurrences must be >= 1, got {self.min_occurrences}")
-        if not self.resolution > 0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
         check_disjoint(self.windows)
 
     def scheme_a_path(self) -> Path:
@@ -385,22 +384,15 @@ def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
 
 def stage_net(config: RunConfig, *, state: RunState) -> dict:
     """Build the co-occurrence network and apply the frequency threshold; likewise
-    one period network per configured window, from the rows of its records.
-    The full network is the sum of the period networks and the network of the
-    records outside every window, so each record's pairs are counted once."""
+    one period network per configured window, from the rows of its records. One
+    grouped count builds them all, so each record's pairs are counted once."""
     table = state.sets
-    window = np.array(window_numbers(state.records, config.windows))  # row r of the table is record r
+    window = window_numbers(state.records, config.windows)  # row r of the table is record r
     state.records = state.sets = None  # net is the last user of both
-    nets, kept = [], []
-    for k, w in enumerate(config.windows):
-        period = build_network(table.select(np.flatnonzero(window == k)))
-        kept.append(threshold_filter(period, config.min_occurrences))
-        write_pajek_net(kept[-1], None, _period_net_path(config, w))
-        nets.append(period)
-    rest = np.flatnonzero((window == len(config.windows)) & (np.diff(table.indptr) > 0))
-    if rest.size or not nets:
-        nets.append(build_network(table.select(rest)))  # the records outside every window
-    full = sum_networks(nets)
+    *periods, full = build_network(table, window, len(config.windows))
+    kept = [threshold_filter(period, config.min_occurrences) for period in periods]
+    for period, w in zip(kept, config.windows):
+        write_pajek_net(period, None, _period_net_path(config, w))
     net = threshold_filter(full, config.min_occurrences)
     write_vertices_csv(net, config.out_dir / VERTICES_FILE)
     write_edges_csv(net, config.out_dir / EDGES_FILE)

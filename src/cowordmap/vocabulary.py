@@ -49,7 +49,8 @@ class OccurrenceIndex:
     """Each record's descriptors as one CSR table: row ``r`` is record ``records[r]``, in
     record order, and holds the int32 ids ``ids[indptr[r]:indptr[r + 1]]`` (int64 offsets)
     of the sorted ``vocabulary``, ascending and each once. ``totals`` and ``per_record``
-    are read-only views built on first use.
+    are read-only views built on first use. ``network.build_network`` counts the pairs of
+    each row straight from ``ids``, grouping the rows by window itself.
 
     ``unmapped`` tallies keywords (by match-key) that had no mapping entry,
     whether or not passthrough let them become descriptors. ``token_count``
@@ -70,15 +71,6 @@ class OccurrenceIndex:
         vocabulary = tuple(sorted(set(chain.from_iterable(per_record.values()))))
         code = dict(zip(vocabulary, range(len(vocabulary))))
         return _table(tuple(per_record), vocabulary, list(per_record.values()), code)
-
-    def select(self, rows) -> OccurrenceIndex:
-        """The table of the row numbers ``rows``, in their order, over the same vocabulary."""
-        rows = np.asarray(rows, np.intp)
-        lengths = np.diff(self.indptr)[rows]
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        at = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return OccurrenceIndex(tuple(map(self.records.__getitem__, rows.tolist())), self.vocabulary, indptr,
-                               self.ids[at])
 
     @property
     def occurrences(self) -> np.ndarray:

@@ -39,7 +39,7 @@ def fixture_index(fixture_records, fixture_mapping):
 
 @pytest.fixture(scope="session")
 def fixture_network(fixture_index):
-    return build_network(fixture_index)
+    return build_network(fixture_index)[-1]
 
 
 def random_network(rng: np.random.Generator, n_descriptors: int = 8, n_records: int = 20) -> CoNetwork:
@@ -51,7 +51,7 @@ def random_network(rng: np.random.Generator, n_descriptors: int = 8, n_records: 
         size = int(rng.integers(1, min(6, n_descriptors) + 1))
         chosen = rng.choice(n_descriptors, size=size, replace=False)
         per_record[f"r{r}"] = frozenset(names[i] for i in chosen)
-    return build_network(OccurrenceIndex.from_sets(per_record))
+    return build_network(OccurrenceIndex.from_sets(per_record))[-1]
 
 
 def connected_random_network(rng: np.random.Generator, n: int) -> CoNetwork:
@@ -68,7 +68,7 @@ def connected_random_network(rng: np.random.Generator, n: int) -> CoNetwork:
         chosen = rng.choice(n, size=min(size, n), replace=False)
         per_record[f"x{rid}"] = frozenset(names[i] for i in chosen)
         rid += 1
-    return build_network(OccurrenceIndex.from_sets(per_record))
+    return build_network(OccurrenceIndex.from_sets(per_record))[-1]
 
 
 __all__ = ["make_network", "random_network", "connected_random_network"]

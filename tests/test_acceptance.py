@@ -72,7 +72,7 @@ def test_pair_counting_identity():
     checked = 0
     for _ in range(500):
         idx = synthetic_index(rng, max_descriptors=50, max_records=200)
-        net = build_network(idx)
+        [net] = build_network(idx)
         lhs = sum(c for _, _, c in net.edges)
         rhs = sum(len(s) * (len(s) - 1) // 2 for s in idx.per_record.values())
         assert lhs == rhs
@@ -165,7 +165,7 @@ def test_clustering_oracle():
 
     rng = np.random.default_rng(424242)
     while len(graphs) < 21:
-        net = build_network(synthetic_index(rng, max_descriptors=8, max_records=12))
+        [net] = build_network(synthetic_index(rng, max_descriptors=8, max_records=12))
         if 0 < net.n_vertices <= 8:
             graphs.append(net)
 

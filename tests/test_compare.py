@@ -57,7 +57,7 @@ def test_fixture_period_networks_match_metrics_oracle(fixture_records, fixture_m
     nets = []
     for sub in split_periods(fixture_records, windows):
         idx = normalize(sub, fixture_mapping)
-        nets.append(threshold_filter(build_network(idx), 2))
+        nets.append(threshold_filter(build_network(idx)[-1], 2))
     report = compare_networks(nets[0], nets[1], ("2001-2006", "2007-2012"))
     for net, side in zip(nets, (report.side_a, report.side_b)):
         edges = {(i, j) for i, j, _ in net.edges}

@@ -37,13 +37,13 @@ def edges_by_label(net):
 
 
 def test_single_record_triangle():
-    net = build_network(index_of_sets({"a", "b", "c"}))
+    [net] = build_network(index_of_sets({"a", "b", "c"}))
     assert net.labels == ("a", "b", "c")
     assert edges_by_label(net) == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
 
 
 def test_singleton_record_no_edges():
-    net = build_network(index_of_sets({"a"}))
+    [net] = build_network(index_of_sets({"a"}))
     assert net.labels == ("a",) and net.edges == ()
 
 
@@ -75,8 +75,8 @@ def test_canonical_vertex_order(fixture_network):
 
 def test_build_order_independent(fixture_index):
     reversed_idx = OccurrenceIndex.from_sets(dict(reversed(list(fixture_index.per_record.items()))))
-    a = build_network(fixture_index)
-    b = build_network(reversed_idx)
+    [a] = build_network(fixture_index)
+    [b] = build_network(reversed_idx)
     assert a == b
 
 
@@ -113,13 +113,13 @@ def test_threshold_composition(fixture_network):
 def test_threshold_before_or_after_construction_equivalent(fixture_index):
     # dropping rare descriptors from the records first, or from the built
     # network afterwards, must give the same network under set semantics
-    after = threshold_filter(build_network(fixture_index), 5)
+    after = threshold_filter(build_network(fixture_index)[-1], 5)
     keep = {d for d, c in fixture_index.totals.items() if c >= 5}
     filtered_sets = {
         rid: frozenset(d for d in s if d in keep)
         for rid, s in fixture_index.per_record.items()
     }
-    before = build_network(OccurrenceIndex.from_sets(filtered_sets))
+    [before] = build_network(OccurrenceIndex.from_sets(filtered_sets))
     assert before == after
 
 
@@ -131,6 +131,18 @@ def test_edge_query_reproduces_figure_rows(fixture_network):
         ("academic libraries", "digital libraries", 1),
         ("academic libraries", "evaluation", 2),
     ]
+
+
+def test_make_network_orders_sums_and_rejects():
+    # canonical order, and an edge listed in both orientations summed; a vertex
+    # without occurrences is refused rather than dropped, as is a self-edge
+    net = make_network([("b", 2), ("c", 3), ("a", 2)], [("a", "c", 1), ("c", "a", 1), ("b", "a", 2)])
+    assert (net.labels, net.weights, net.edges) == (("c", "a", "b"), (3, 2, 2), ((0, 1, 2), (1, 2, 2)))
+    for weight in (0, -1):
+        with pytest.raises(ValueError, match="'b' has non-positive weight"):
+            make_network([("a", 1), ("b", weight)], [("a", "b", 1)])
+    with pytest.raises(ValueError, match="bad edge endpoints"):
+        make_network([("a", 1), ("b", 1)], [("a", "a", 1)])
 
 
 def test_edge_query_isolated_vertex():

@@ -498,6 +498,11 @@ def test_cli_unknown_flag_exit_one(tmp_path, capsys):
     (["--layout-max-iter", "0"], "--layout-max-iter"),
     (["--svg-size", "100"], "--svg-size"),
     (["--config", "{cfg}"], "min_occurrences"),
+    (["--layout-scale", "nan"], "--layout-scale"),
+    (["--layout-scale", "inf"], "--layout-scale"),
+    (["--layout-tolerance", "nan"], "--layout-tolerance"),
+    (["--layout-tolerance", "inf"], "--layout-tolerance"),
+    (["--resolution", "inf"], "--resolution"),
 ])
 def test_cli_bad_option_value_exit_one(tmp_path, capsys, argv, option):
     cfg = tmp_path / "run.cfg"
@@ -585,7 +590,7 @@ def test_period_networks_match_normalized_window_oracle(tmp_path, schemes, fixtu
     records = parse_records(RECORDS_CSV, schemes)
     for window, sub in zip(config.windows, split_periods(records, list(config.windows))):
         idx = normalize(sub, fixture_mapping, passthrough=passthrough)
-        expected = format_pajek_net(threshold_filter(build_network(idx), min_occ))
+        expected = format_pajek_net(threshold_filter(build_network(idx)[-1], min_occ))
         path = out / f"period_{window.start_year}_{window.end_year}.net"
         assert path.read_text(encoding="utf-8") == expected
 
@@ -704,22 +709,21 @@ def test_records_outside_every_window_count_in_the_full_network(tmp_path, capsys
     assert snapshot(staged) == full_files
 
 
-# builds: one per window, and one for the records outside every window if any
-@pytest.mark.parametrize("windows, builds", [
-    ((), 1), ((PeriodWindow(2001, 2006), PeriodWindow(2007, 2012)), 2), (OUTSIDE_WINDOWS, 3)])
-def test_run_counts_each_pair_once(tmp_path, monkeypatch, windows, builds):
+# one grouped build of every network, whatever the windows
+@pytest.mark.parametrize("windows", [(), (PeriodWindow(2001, 2006), PeriodWindow(2007, 2012)), OUTSIDE_WINDOWS])
+def test_run_counts_each_pair_once(tmp_path, monkeypatch, windows):
     counted = []
     build = pipeline.build_network
 
-    def counting(idx):
+    def counting(idx, window, windows):
         counted.append(sum(len(s) * (len(s) - 1) // 2 for s in idx.per_record.values()))
-        return build(idx)
+        return build(idx, window, windows)
 
     monkeypatch.setattr(pipeline, "build_network", counting)
     run_pipeline(fixture_config(tmp_path / "out", windows=windows))
     sets = oracles.descriptor_sets(oracles.read_fixture_rows(RECORDS_CSV), oracles.read_mapping_pairs(MAPPING_TXT))
     assert sum(counted) == sum(len(s) * (len(s) - 1) // 2 for s in sets.values())
-    assert len(counted) == builds
+    assert len(counted) == 1
 
 
 def test_run_makes_no_edge_tuples(tmp_path, monkeypatch):

@@ -22,7 +22,6 @@ from cowordmap.network import (
     association_strength,
     build_network,
     connected_components,
-    sum_networks,
     threshold_filter,
 )
 from cowordmap.pajek import format_pajek_net, read_pajek_net
@@ -193,7 +192,7 @@ def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records, 
 @PROPERTY_SETTINGS
 @given(occurrence_indexes())
 def test_pair_counting_identity_and_weight_bound(idx):
-    net = build_network(idx)
+    [net] = build_network(idx)
     total = sum(c for _, _, c in net.edges)
     expected = sum(len(s) * (len(s) - 1) // 2 for s in idx.per_record.values())
     assert total == expected
@@ -204,7 +203,7 @@ def test_pair_counting_identity_and_weight_bound(idx):
 @PROPERTY_SETTINGS
 @given(occurrence_indexes(), st.integers(1, 6), st.integers(1, 6))
 def test_threshold_composition_and_monotonicity(idx, a, b):
-    net = build_network(idx)
+    [net] = build_network(idx)
     twice = threshold_filter(threshold_filter(net, a), b)
     once = threshold_filter(net, max(a, b))
     assert twice == once
@@ -221,16 +220,23 @@ def test_build_network_order_independent(idx, rnd):
     assert build_network(idx) == build_network(shuffled)
 
 
+def loose_table(vocabulary, sets) -> OccurrenceIndex:
+    """The table of ``sets`` (records r0, r1, ...) over the sorted ``vocabulary``, which
+    may hold descriptors that no set holds (a total of 0)."""
+    vocabulary = tuple(sorted(vocabulary))
+    ids = [sorted(map(vocabulary.index, s)) for s in sets]
+    return OccurrenceIndex(tuple(f"r{i}" for i in range(len(sets))), vocabulary, np.cumsum([0, *map(len, ids)]),
+                           np.array([i for row in ids for i in row], np.int32))
+
+
 @st.composite
 def loose_indexes(draw, max_descriptors=10, max_records=25):
     """Tables whose vocabulary may hold descriptors that no row holds (a total
-    of 0), as the rows a window selects from a table do. Sets may be empty or
+    of 0), as a window's rows do within a grouped count. Sets may be empty or
     singletons."""
     names = [f"k{i}" for i in range(draw(st.integers(1, max_descriptors)))]
-    sets = draw(st.lists(st.sets(st.sampled_from(names), max_size=min(6, len(names))), max_size=max_records))
-    table = OccurrenceIndex.from_sets({f"r{i}": frozenset(s) for i, s in enumerate(sets)})
-    kept = draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
-    return table.select(np.flatnonzero(kept))
+    return loose_table(names, draw(st.lists(st.sets(st.sampled_from(names), max_size=min(6, len(names))),
+                                            max_size=max_records)))
 
 
 @PROPERTY_SETTINGS
@@ -243,22 +249,25 @@ def test_build_network_matches_brute_force_oracle(idx):
     at = {d: i for i, d in enumerate(labels)}
     pairs = oracles.pair_counts({rid: s & weight.keys() for rid, s in idx.per_record.items()})
     edges = sorted((min(at[a], at[b]), max(at[a], at[b]), c) for (a, b), c in pairs.items())
-    net = build_network(idx)
+    [net] = build_network(idx)
     assert net.labels == tuple(labels)
     assert net.weights == tuple(weight[d] for d in labels)
     assert net.edges == tuple(edges)
 
 
 @PROPERTY_SETTINGS
-@given(occurrence_indexes(), st.integers(1, 4), st.data())
-def test_group_networks_sum_to_one_build(idx, n_groups, data):
-    # any split of the records into disjoint groups, empty groups included
-    group_of = {rid: data.draw(st.integers(0, n_groups - 1)) for rid in idx.per_record}
-    nets = []
-    for g in range(n_groups):
-        sets = {rid: s for rid, s in idx.per_record.items() if group_of[rid] == g}
-        nets.append(build_network(OccurrenceIndex.from_sets(sets)))
-    assert sum_networks(iter(nets)) == build_network(idx)
+@given(occurrence_indexes(), st.integers(0, 3), st.data())
+def test_group_networks_sum_to_one_build(idx, windows, data):
+    # one grouped build over any split of the records into windows and the records
+    # outside them, empty windows included: each window's network is the build of its
+    # records alone, and the last network is the build of all records
+    window = [data.draw(st.integers(0, windows)) for _ in idx.records]
+    nets = build_network(idx, window, windows)
+    assert len(nets) == windows + 1
+    for k in range(windows):
+        sets = {rid: s for w, (rid, s) in zip(window, idx.per_record.items()) if w == k}
+        assert [nets[k]] == build_network(OccurrenceIndex.from_sets(sets))
+    assert [nets[-1]] == build_network(idx)
 
 
 def as_tuples(net) -> oracles.TupleNetwork:
@@ -272,27 +281,25 @@ GROUPS = 3
 
 @PROPERTY_SETTINGS
 @given(loose_indexes(), st.lists(st.integers(0, GROUPS - 1), min_size=25, max_size=25), st.integers(1, 40))
-# empty and one-descriptor sets, a descriptor whose total is 0, a group with no
+# empty and one-descriptor sets, a descriptor whose total is 0, a window with no
 # records, and a threshold above every weight
-@example(OccurrenceIndex.from_sets({"r0": (), "r1": ("k0",), "r2": ("k0", "k1", "k2"), "r3": ("k1", "k2"),
-                                     "r4": ("k3",)}).select([0, 1, 2, 3]),
-         [0, 0, 1, 1] + [0] * 21, 99)
+@example(loose_table(["k0", "k1", "k2", "k3"], [(), ("k0",), ("k0", "k1", "k2"), ("k1", "k2")]),
+         [0, 0, GROUPS - 1, GROUPS - 1] + [0] * 21, 99)
 def test_array_networks_match_the_tuple_reference(idx, group_of, min_occ):
-    # each disjoint record group, their sum and its threshold, against the
-    # tuple implementations these replaced; descriptors that idx.totals holds
-    # at 0 are at 0 in every group too
+    # one grouped build, whose windows are the record groups but the last, which is
+    # outside them: each window's network against the tuple build of its group, and
+    # the network of all records against the tuple sum of every group's, each also
+    # thresholded; descriptors that idx.totals holds at 0 are at 0 in every group too
     zero = {d for d, c in idx.totals.items() if c == 0}
-    nets, refs = [], []
+    refs = []
     for g in range(GROUPS):
         sets = {rid: s for k, (rid, s) in enumerate(idx.per_record.items()) if group_of[k] == g}
         totals = {d: 0 if d in zero else c for d, c in oracles.occurrence_totals(sets).items()}
-        nets.append(build_network(OccurrenceIndex.from_sets(sets)))
         refs.append(oracles.build_network(sets, totals))
-        assert as_tuples(nets[-1]) == refs[-1]
-        assert as_tuples(threshold_filter(nets[-1], min_occ)) == oracles.threshold_filter(refs[-1], min_occ)
-    full, ref = sum_networks(nets), oracles.sum_networks(refs)
-    assert as_tuples(full) == ref
-    assert as_tuples(threshold_filter(full, min_occ)) == oracles.threshold_filter(ref, min_occ)
+    nets = build_network(idx, group_of[:len(idx.records)], GROUPS - 1)
+    for net, ref in zip(nets, [*refs[:-1], oracles.sum_networks(refs)], strict=True):
+        assert as_tuples(net) == ref
+        assert as_tuples(threshold_filter(net, min_occ)) == oracles.threshold_filter(ref, min_occ)
 
 
 _endpoint = st.integers(-2, 6)
@@ -315,7 +322,7 @@ def test_network_rejects_bad_edges_with_the_tuple_messages(n, edges):
 @PROPERTY_SETTINGS
 @given(occurrence_indexes())
 def test_similarity_matrix_symmetric_zero_diagonal(idx):
-    net = build_network(idx)
+    [net] = build_network(idx)
     assume(net.n_vertices > 0)
     s = association_strength(net)
     assert np.array_equal(s, s.T)
@@ -330,7 +337,7 @@ def test_similarity_matrix_symmetric_zero_diagonal(idx):
 @PROPERTY_SETTINGS
 @given(occurrence_indexes(max_descriptors=8, max_records=16))
 def test_detected_modularity_beats_singletons(idx):
-    net = build_network(idx)
+    [net] = build_network(idx)
     assume(net.n_vertices > 0)
     partition = detect_clusters(net)
     singletons = ClusterPartition(tuple(range(1, net.n_vertices + 1)), 0.0)
@@ -341,7 +348,7 @@ def test_detected_modularity_beats_singletons(idx):
 @PROPERTY_SETTINGS
 @given(occurrence_indexes(max_descriptors=10, max_records=14))
 def test_clusters_respect_components(idx):
-    net = build_network(idx)
+    [net] = build_network(idx)
     assume(net.n_vertices > 0)
     partition = detect_clusters(net)
     comp_of = {}
@@ -448,7 +455,7 @@ def test_descriptors_file_reads_back_as_the_normalized_table(tmp_path_factory, c
 @PROPERTY_SETTINGS
 @given(occurrence_indexes())
 def test_pajek_serialization_fixed_point(tmp_path_factory, idx):
-    net = build_network(idx)
+    [net] = build_network(idx)
     path = tmp_path_factory.mktemp("prop") / "net.net"
     path.write_text(format_pajek_net(net), encoding="utf-8", newline="\n")
     again, _ = read_pajek_net(path)
