@@ -3,120 +3,16 @@
 Turns a flat file of bibliographic records into controlled-vocabulary
 distribution tables, a thresholded keyword co-occurrence network, thematic
 clusters, a Kamada-Kawai map, and Pajek/SVG/CSV exports.
+
+The entry points are ``cowordmap.cli.main`` (the ``cowordmap`` command) and
+``cowordmap.pipeline.run_pipeline`` (a whole run from a ``RunConfig``). The
+API is the submodules themselves: import each name from the module that
+defines it.
 """
 
 __version__ = "0.1.0"
 
-from .clusters import (
-    ClusterPartition,
-    ClusterSummary,
-    cluster_summary,
-    detect_clusters,
-    format_legend,
-    modularity,
-)
-from .compare import CompareReport, NetworkSummary, compare_networks
-from .errors import InputError, StageError
-from .layout import (
-    LayoutMap,
-    LayoutParams,
-    graph_distances,
-    kamada_kawai,
-    layout_network,
-    pack_components,
-    stress,
-    stress_gradient,
-)
-from .network import (
-    CoNetwork,
-    NetworkMetrics,
-    association_strength,
-    build_network,
-    connected_components,
-    edge_query,
-    make_network,
-    network_metrics,
-    threshold_filter,
-)
-from .pajek import read_pajek_net, write_pajek_clu, write_pajek_net
-from .pipeline import RunConfig, run_pipeline
-from .records import (
-    ClassScheme,
-    PeriodWindow,
-    Record,
-    RecordSet,
-    class_crosstab,
-    class_distribution,
-    filter_records,
-    load_scheme,
-    parse_records,
-    split_periods,
-)
-from .svgmap import SvgOptions, write_label_map_svg
-from .vocabulary import (
-    CoverageStats,
-    MappingTable,
-    OccurrenceIndex,
-    coverage_stats,
-    descriptor_frequencies,
-    load_mapping,
-    match_key,
-    normalize,
-)
-
-__all__ = [
-    "__version__",
-    "ClassScheme",
-    "ClusterPartition",
-    "ClusterSummary",
-    "CompareReport",
-    "CoNetwork",
-    "CoverageStats",
-    "InputError",
-    "LayoutMap",
-    "LayoutParams",
-    "MappingTable",
-    "NetworkMetrics",
-    "NetworkSummary",
-    "OccurrenceIndex",
-    "PeriodWindow",
-    "Record",
-    "RecordSet",
-    "RunConfig",
-    "StageError",
-    "SvgOptions",
-    "association_strength",
-    "build_network",
-    "class_crosstab",
-    "class_distribution",
-    "cluster_summary",
-    "compare_networks",
-    "connected_components",
-    "coverage_stats",
-    "descriptor_frequencies",
-    "detect_clusters",
-    "edge_query",
-    "filter_records",
-    "format_legend",
-    "graph_distances",
-    "kamada_kawai",
-    "layout_network",
-    "load_mapping",
-    "load_scheme",
-    "make_network",
-    "match_key",
-    "modularity",
-    "network_metrics",
-    "normalize",
-    "pack_components",
-    "parse_records",
-    "read_pajek_net",
-    "run_pipeline",
-    "split_periods",
-    "stress",
-    "stress_gradient",
-    "threshold_filter",
-    "write_label_map_svg",
-    "write_pajek_clu",
-    "write_pajek_net",
-]
+# Kept for its import time alone: pipebench/run.py reads ``layout.import_s`` as the
+# ``cowordmap.layout`` line of ``python -X importtime -c "import cowordmap"``. It can
+# go when that measurement does (ROADMAP item 2).
+from . import layout  # noqa: F401

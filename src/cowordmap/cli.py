@@ -22,6 +22,7 @@ code stays 0).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import fields
@@ -37,6 +38,12 @@ from .svgmap import SvgOptions
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -<digits>[.<digits>] for a value and any other "-..." for a flag; so
+        # that the check of its field names it, every negative number float() reads is a value too
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # usage problems are input errors (exit 1), not pipeline errors
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -189,10 +196,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _warn(stage: str, stats: dict, config: RunConfig) -> None:
-    """Say on stderr when the layout or the clustering stopped at its budget."""
+    """Say on stderr when the layout did not converge, and why, or when the clustering
+    stopped at its budget."""
     if stage == "layout" and not stats["converged"]:
-        print(f"warning: layout did not converge within {config.layout.max_iterations} iterations "
-              f"per component ({stats['iterations']} used over all components)", file=sys.stderr)
+        cause = (f"within {config.layout.max_iterations} iterations per component" if stats["budget_spent"]
+                 else f"to the tolerance {config.layout.tolerance:g}: it stopped at float precision")
+        print(f"warning: layout did not converge {cause} ({stats['iterations']} iterations used over all "
+              "components)", file=sys.stderr)
     if stage == "cluster" and not stats["settled"]:
         print(f"warning: clustering stopped at {clusters.MAX_SWEEPS} local-moving sweeps on some level "
               f"before it settled ({stats['sweeps']} sweeps over all levels)", file=sys.stderr)

@@ -56,10 +56,12 @@ class LayoutMap:
     ``layout_network`` returns unit-square coordinates. ``final_stress``
     always refers to the optimizer's coordinate frame. ``iterations`` counts
     Newton iterations and ``sweeps`` majorization sweeps, each summed over
-    components. ``stress_history`` holds one non-increasing trace per
-    component when present: the stress of the classical-MDS start, then one
-    entry per majorization sweep, then one per Newton iteration, where a
-    rejected step repeats the value before it. ``components`` lists the
+    components. ``budget_spent`` says that some component that did not
+    converge used all of its Newton iterations (``kamada_kawai``).
+    ``stress_history`` holds one non-increasing trace per component when
+    present: the stress of the classical-MDS start, then one entry per
+    majorization sweep, then one per Newton iteration, where a rejected step
+    repeats the value before it. ``components`` lists the
     vertex indices of each connected component the optimizer solved apart,
     in the order of ``stress_history``; it is empty when unknown.
     """
@@ -70,6 +72,7 @@ class LayoutMap:
     iterations: int = 0
     sweeps: int = 0
     normalized: bool = False
+    budget_spent: bool = False
     stress_history: tuple[tuple[float, ...], ...] | None = None
     components: tuple[tuple[int, ...], ...] = ()
 
@@ -388,7 +391,10 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     ``classical_mds`` cannot fix: a component whose top MDS eigenvalue has
     multiplicity above two, such as a hub with four or more equal leaves,
     may come out rotated); a budget used up, or a solver stopped by float
-    precision first, leaves it false and is never raised.
+    precision first, leaves it false and is never raised. ``budget_spent``
+    tells the two apart: a component's gradient below the tolerance stops the
+    solver as converged, so one that stops short of it before its last
+    iteration stopped at float precision.
     """
     if net.n_vertices == 0:
         raise ValueError("cannot lay out an empty network")
@@ -396,7 +402,7 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     histories: list[tuple[float, ...]] = []
     total = 0.0
     iterations = sweeps = 0
-    converged = True
+    converged, budget_spent = True, False
     distances = graph_distances(net)
     for comp, dmat in distances:
         if len(comp) == 1:
@@ -410,6 +416,7 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
         iterations += it
         sweeps += sw
         converged = converged and conv
+        budget_spent = budget_spent or (not conv and it == params.max_iterations)
     return LayoutMap(
         coords,
         final_stress=total,
@@ -417,6 +424,7 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
         iterations=iterations,
         sweeps=sweeps,
         normalized=False,
+        budget_spent=budget_spent,
         stress_history=tuple(histories),
         components=tuple(comp for comp, _ in distances),
     )
@@ -495,4 +503,5 @@ def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Lay
         iterations=raw.iterations,
         sweeps=raw.sweeps,
         normalized=True,
+        budget_spent=raw.budget_spent,
     )

@@ -46,7 +46,7 @@ from .records import (
     DEFAULT_YEAR_RANGE,
     ClassScheme,
     PeriodWindow,
-    RecordSet,
+    Record,
     check_disjoint,
     class_crosstab,
     class_distribution,
@@ -75,7 +75,6 @@ from .tables import (
     write_vertices_csv,
 )
 from .vocabulary import (
-    MappingTable,
     OccurrenceIndex,
     coverage_stats,
     descriptor_frequencies,
@@ -258,7 +257,7 @@ class RunState:
         self.config = config
 
     @cached_property
-    def records(self) -> RecordSet:
+    def records(self) -> tuple[Record, ...]:
         path = _require(self.config.out_dir / RECORDS_FILE, "ingest")
         return parse_records(path, _schemes(self.config), self.config.year_range)
 
@@ -361,7 +360,7 @@ def stage_report(config: RunConfig, scheme: str = "both", by: str = "none", *,
 def stage_normalize(config: RunConfig, *, state: RunState) -> dict:
     """Canonicalize keywords and write the descriptor/frequency artifacts."""
     rs = state.records
-    table = MappingTable({}) if config.mapping is None else load_mapping(config.mapping)
+    table = {} if config.mapping is None else load_mapping(config.mapping)
     idx = normalize(rs, table, passthrough=config.passthrough)
     bad = min((d for d in idx.vocabulary if not representable(d)), default=None)
     if bad is not None:
@@ -427,6 +426,7 @@ def stage_layout(config: RunConfig, *, state: RunState) -> dict:
         "iterations": layout.iterations,
         "sweeps": layout.sweeps,
         "converged": layout.converged,
+        "budget_spent": layout.budget_spent,
         "final_stress": layout.final_stress,
     }
 

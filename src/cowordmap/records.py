@@ -77,17 +77,6 @@ class Record(NamedTuple):
     raw_keywords: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RecordSet:
-    records: tuple[Record, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 def load_scheme(path: str | Path, name: str | None = None) -> ClassScheme:
     """Read a scheme file: one label per line, ``#`` comments, blanks ignored."""
     path = Path(path)
@@ -112,7 +101,7 @@ def parse_records(
     path: str | Path,
     schemes: tuple[ClassScheme, ClassScheme],
     year_range: tuple[int, int] | None = DEFAULT_YEAR_RANGE,
-) -> RecordSet:
+) -> tuple[Record, ...]:
     """Parse and validate the records CSV at ``path``, read by ``errors.csv_rows``.
 
     Row order is preserved. Every cell is trimmed; keywords are split on ";"
@@ -160,11 +149,11 @@ def parse_records(
         records.append(Record(rid, shared(source), year, title,
                               shared(class_a) if class_a else None, shared(class_b) if class_b else None,
                               tuple(filter(None, map(shared, keywords.split(";"))))))
-    return RecordSet(tuple(records))
+    return tuple(records)
 
 
-def write_records(rs: RecordSet, path: str | Path) -> None:
-    """Serialize a RecordSet back to the canonical CSV form (LF, UTF-8), with
+def write_records(rs: tuple[Record, ...], path: str | Path) -> None:
+    """Serialize records back to the canonical CSV form (LF, UTF-8), with
     the bytes ``csv.writer`` gives; a missing class (None) is an empty cell.
 
     Each row is encoded here and written by ``errors.write_csv``: the source,
@@ -177,17 +166,16 @@ def write_records(rs: RecordSet, path: str | Path) -> None:
 
 
 def filter_records(
-    rs: RecordSet,
+    rs: tuple[Record, ...],
     source: str | None = None,
     years: PeriodWindow | None = None,
-) -> RecordSet:
+) -> tuple[Record, ...]:
     """Subset of ``rs`` matching every given predicate; the input is untouched."""
-    records = rs.records
     if source is not None:
-        records = [r for r in records if r.source == source]
+        rs = tuple(r for r in rs if r.source == source)
     if years is not None:
-        records = [r for r in records if r.year in years]
-    return RecordSet(tuple(records))
+        rs = tuple(r for r in rs if r.year in years)
+    return rs
 
 
 def check_disjoint(windows: tuple[PeriodWindow, ...] | list[PeriodWindow]) -> None:
@@ -198,7 +186,7 @@ def check_disjoint(windows: tuple[PeriodWindow, ...] | list[PeriodWindow]) -> No
                 raise InputError(f"windows {a.label} and {b.label} overlap")
 
 
-def window_numbers(rs: RecordSet, windows: list[PeriodWindow] | tuple[PeriodWindow, ...]) -> list[int]:
+def window_numbers(rs: tuple[Record, ...], windows: list[PeriodWindow] | tuple[PeriodWindow, ...]) -> list[int]:
     """Each record's window number, ``len(windows)`` for a record outside every window.
     Windows must be pairwise disjoint; each distinct year is looked up once."""
     check_disjoint(windows)
@@ -207,12 +195,12 @@ def window_numbers(rs: RecordSet, windows: list[PeriodWindow] | tuple[PeriodWind
     return list(map(number.__getitem__, years))
 
 
-def split_periods(rs: RecordSet, windows: list[PeriodWindow]) -> list[RecordSet]:
-    """One RecordSet per window; records outside every window are dropped."""
+def split_periods(rs: tuple[Record, ...], windows: list[PeriodWindow]) -> list[tuple[Record, ...]]:
+    """The records of each window; records outside every window are dropped."""
     buckets: list[list[Record]] = [[] for _ in range(len(windows) + 1)]
     for r, k in zip(rs, window_numbers(rs, windows)):
         buckets[k].append(r)
-    return [RecordSet(tuple(bucket)) for bucket in buckets[:-1]]
+    return list(map(tuple, buckets[:-1]))
 
 
 def percent_round_half_up(count: int, total: int) -> int:
@@ -222,7 +210,7 @@ def percent_round_half_up(count: int, total: int) -> int:
     return (200 * count + total) // (2 * total)
 
 
-def class_distribution(rs: RecordSet, scheme: ClassScheme, which: str = "a") -> list[tuple[str, int, int]]:
+def class_distribution(rs: tuple[Record, ...], scheme: ClassScheme, which: str = "a") -> list[tuple[str, int, int]]:
     """Rows of (label, count, percent) in scheme order.
 
     Records without the class are tallied under a reserved "(unclassified)"
@@ -241,7 +229,7 @@ def class_distribution(rs: RecordSet, scheme: ClassScheme, which: str = "a") -> 
     return rows
 
 
-def class_crosstab(rs: RecordSet, a: ClassScheme, b: ClassScheme):
+def class_crosstab(rs: tuple[Record, ...], a: ClassScheme, b: ClassScheme):
     """Count matrix of class_a x class_b.
 
     Returns (row_labels, col_labels, counts) where counts[i][j] is the number

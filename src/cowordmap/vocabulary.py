@@ -23,25 +23,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InputError, content_lines
-from .records import RecordSet, percent_round_half_up
+from .records import Record, percent_round_half_up
 
 
 def match_key(raw: str) -> str:
     """Normalized lookup key: NFC composition, casefold, collapse whitespace."""
     return " ".join(unicodedata.normalize("NFC", raw).casefold().split())
-
-
-@dataclass(frozen=True)
-class MappingTable:
-    """Match-key -> canonical descriptor. Many-to-one merges are fine."""
-
-    entries: dict[str, str]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, key: str) -> str | None:
-        return self.entries.get(key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +103,9 @@ class CoverageStats:
     no_occurrences: bool = False
 
 
-def load_mapping(path: str | Path) -> MappingTable:
-    """Read a mapping file of ``raw -> canonical`` lines.
+def load_mapping(path: str | Path) -> dict[str, str]:
+    """Read a mapping file of ``raw -> canonical`` lines into a table of
+    match-key -> canonical descriptor; many-to-one merges are fine.
 
     Canonical targets implicitly map to themselves, which is what makes
     normalization idempotent; a file that remaps one entry's canonical form
@@ -156,11 +144,11 @@ def load_mapping(path: str | Path) -> MappingTable:
                 )
         else:
             entries[key] = canonical
-    return MappingTable(entries)
+    return entries
 
 
-def normalize(rs: RecordSet, table: MappingTable, passthrough: bool = True) -> OccurrenceIndex:
-    """Apply the mapping table to every record's raw keywords.
+def normalize(rs: tuple[Record, ...], table: Mapping[str, str], passthrough: bool = True) -> OccurrenceIndex:
+    """Apply the mapping table (match-key -> canonical descriptor) to every record's raw keywords.
 
     Mapped keywords become their canonical descriptor. Unmapped keywords
     become their own match-key when ``passthrough`` is on, and are dropped

@@ -8,11 +8,9 @@ measured.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from conftest import (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import connected_random_network, random_network
+from conftest import connected_random_network
 from cowordmap.layout import (
     LayoutMap,
     LayoutParams,
@@ -329,6 +329,19 @@ def test_budget_exhaustion_is_flagged():
     lm = kamada_kawai(net, LayoutParams(tolerance=1e-12, max_iterations=1))
     assert not lm.converged
     assert lm.iterations <= 1
+    assert lm.budget_spent
+    assert not kamada_kawai(net).budget_spent
+
+
+def test_float_precision_stop_is_not_a_spent_budget():
+    # no gradient reaches 1e-300: the solver stops when the model predicts no reduction
+    rng = np.random.default_rng(31)
+    net = connected_random_network(rng, 12)
+    params = LayoutParams(tolerance=1e-300)
+    lm = kamada_kawai(net, params)
+    assert not lm.converged
+    assert not lm.budget_spent
+    assert lm.iterations < params.max_iterations
 
 
 def rosenbrock(x):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,7 @@ from cowordmap.network import (
     network_metrics,
     threshold_filter,
 )
-from cowordmap.records import Record, RecordSet
-from cowordmap.vocabulary import MappingTable, OccurrenceIndex, normalize
+from cowordmap.vocabulary import OccurrenceIndex
 
 
 def index_of_sets(*sets):

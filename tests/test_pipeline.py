@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -442,6 +443,23 @@ def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("warning: layout did not converge within 2 iterations")
 
 
+@pytest.mark.parametrize("flag, value, spent, warning", [
+    ("--layout-max-iter", "1", True, "warning: layout did not converge within 1 iterations per component"),
+    ("--layout-tolerance", "1e-300", False,
+     "warning: layout did not converge to the tolerance 1e-300: it stopped at float precision"),
+])
+def test_cli_layout_warning_names_its_cause(tmp_path, capsys, flag, value, spent, warning):
+    out = tmp_path / "out"
+    assert main(["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+                 "--out", str(out), flag, value]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(warning)
+    stats = json.loads((out / MANIFEST_FILE).read_bytes())["stages"]["layout"]
+    assert (stats["converged"], stats["budget_spent"]) == (False, spent)
+    assert spent or stats["iterations"] < LayoutParams().max_iterations
+
+
 def test_cli_warns_when_clustering_stops_at_its_sweep_cap(tmp_path, capsys, monkeypatch):
     args = ["--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
             "--windows", "2001-2006,2007-2012"]
@@ -515,6 +533,22 @@ def test_cli_bad_option_value_exit_one(tmp_path, capsys, argv, option):
     assert option in err
     assert "Traceback" not in err
     assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e5", "-Infinity", "-1_0"])
+@pytest.mark.parametrize("flag, key", [("--layout-scale", "layout_scale"),
+                                       ("--layout-tolerance", "layout_tolerance"),
+                                       ("--resolution", "resolution")])
+def test_cli_negative_float_reaches_the_value_check(tmp_path, capsys, flag, key, value):
+    # argparse alone takes a value such as -inf for a flag and names no value
+    out = tmp_path / "out"
+    code = main(["run", "--records", str(RECORDS_CSV), "--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"bad value for {flag} (config key '{key}')" in err
+    assert "must be positive and finite" in err
+    assert "expected one argument" not in err
+    assert not out.exists()
 
 
 def test_cli_missing_records_exit_one(tmp_path, capsys):
@@ -896,6 +930,41 @@ def test_run_does_not_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "network.net").exists()
+
+
+PACKAGE_DIR = Path(pipeline.__file__).resolve().parent
+MODULES = sorted("cowordmap" if p.stem == "__init__" else f"cowordmap.{p.stem}"
+                 for p in PACKAGE_DIR.glob("*.py") if p.stem != "__main__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # a module that leans on another's import order fails here, in a fresh process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_record_order_changes_no_result(tmp_path, capsys, seed):
+    # the rows are parsed and reshuffled as CSV rows: a quoted cell may hold a line break
+    with open(RECORDS_CSV, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    reordered = random.Random(seed).sample(rows, len(rows))
+    assert reordered != rows
+    shuffled = tmp_path / "shuffled.csv"
+    with open(shuffled, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *reordered])
+    args = ["run", "--mapping", str(MAPPING_TXT), "--windows", "2001-2006,2007-2012", "--min-occ", "2"]
+    assert main([*args, "--records", str(RECORDS_CSV), "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--records", str(shuffled), "--out", str(tmp_path / "shuffled")]) == 0
+    capsys.readouterr()
+    plain, again = snapshot(tmp_path / "plain"), snapshot(tmp_path / "shuffled")
+    assert set(plain) == set(again) == EXPECTED_FILES
+    assert plain["records.csv"] != again["records.csv"]
+    for name in EXPECTED_FILES - {"records.csv", "descriptors.csv", "manifest.json"}:
+        assert plain[name] == again[name], name
 
 
 @pytest.mark.parametrize("name", ["records.csv", "mapping.txt", "scheme_a.txt", "run.cfg", "vertices.csv"])

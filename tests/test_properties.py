@@ -31,7 +31,6 @@ from cowordmap.records import (
     ClassScheme,
     PeriodWindow,
     Record,
-    RecordSet,
     class_distribution,
     filter_records,
     parse_records,
@@ -39,7 +38,7 @@ from cowordmap.records import (
     write_records,
 )
 from cowordmap.tables import DESCRIPTORS_HEADER, write_csv, write_descriptors_csv
-from cowordmap.vocabulary import MappingTable, OccurrenceIndex, load_mapping, match_key, normalize
+from cowordmap.vocabulary import OccurrenceIndex, load_mapping, match_key, normalize
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -78,7 +77,7 @@ def record_sets(draw, max_size=25):
                 raw_keywords=tuple(draw(st.lists(_keyword, max_size=6))),
             )
         )
-    return RecordSet(tuple(records))
+    return tuple(records)
 
 
 @st.composite
@@ -147,12 +146,12 @@ def test_parse_is_loss_free(tmp_path_factory, rs):
     # cells are trimmed on parse; beyond that every field value survives
     trimmed = tuple(
         Record(r.id, r.source, r.year, r.title.strip(), r.class_a, r.class_b, r.raw_keywords)
-        for r in rs.records
+        for r in rs
     )
-    assert once.records == trimmed
+    assert once == trimmed
     # parse -> write -> parse is a fixed point
     write_records(once, tmp / "two.csv")
-    assert parse_records(tmp / "two.csv", (SCHEME_A, SCHEME_B)).records == once.records
+    assert parse_records(tmp / "two.csv", (SCHEME_A, SCHEME_B)) == once
 
 
 # the characters csv quoting turns on, among any others
@@ -176,7 +175,7 @@ def csv_tables(draw):
        csv_tables())
 def test_records_file_has_the_bytes_csv_writer_gives(tmp_path_factory, records, per_record, table):
     tmp = tmp_path_factory.mktemp("prop")
-    write_records(RecordSet(tuple(records)), tmp / "encoded.csv")
+    write_records(tuple(records), tmp / "encoded.csv")
     oracles.write_records(records, tmp / "csv_module.csv")
     assert (tmp / "encoded.csv").read_bytes() == (tmp / "csv_module.csv").read_bytes()
     # descriptors.csv and every other table go through the same encoder
@@ -375,11 +374,9 @@ def test_normalize_idempotent(tmp_path_factory, table_pairs, data):
     table = load_mapping(path)
     raws = sorted(table_pairs) + ["unmapped word"]
     chosen = data.draw(st.lists(st.sampled_from(raws), max_size=6))
-    rs = RecordSet((Record("r0", "BAD", 2005, "", None, None, tuple(chosen)),))
+    rs = (Record("r0", "BAD", 2005, "", None, None, tuple(chosen)),)
     first = normalize(rs, table)
-    canonical = RecordSet((
-        Record("r0", "BAD", 2005, "", None, None, tuple(sorted(first.per_record["r0"]))),
-    ))
+    canonical = (Record("r0", "BAD", 2005, "", None, None, tuple(sorted(first.per_record["r0"]))),)
     second = normalize(canonical, table)
     assert second.per_record == first.per_record
     assert second.totals == first.totals
@@ -406,7 +403,7 @@ def test_normalize_matches_brute_force_oracle(tmp_path_factory, words, passthrou
     spelled = st.builds(lambda w, how: _spellings[how](w), st.sampled_from(words + sorted(set(mapped.values()))),
                         st.sampled_from(sorted(_spellings)))
     keywords = {f"r{i}": kws for i, kws in enumerate(data.draw(st.lists(st.lists(spelled, max_size=7), max_size=8)))}
-    rs = RecordSet(tuple(Record(rid, "BAD", 2005, "", None, None, tuple(kws)) for rid, kws in keywords.items()))
+    rs = tuple(Record(rid, "BAD", 2005, "", None, None, tuple(kws)) for rid, kws in keywords.items())
     idx = normalize(rs, load_mapping(path), passthrough)
     sets, totals, unmapped, tokens = oracles.normalize_tallies(keywords, oracles.read_mapping_pairs(path), passthrough)
     assert idx.per_record == {rid: tuple(sorted(s)) for rid, s in sets.items()}
@@ -428,7 +425,7 @@ def normalized(draw):
     rs = draw(record_sets())
     keys = sorted({match_key(k) for r in rs for k in r.raw_keywords})
     mapped = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(("X", "Y")))) if keys else {}
-    return rs, normalize(rs, MappingTable(mapped), draw(st.booleans()))
+    return rs, normalize(rs, mapped, draw(st.booleans()))
 
 
 @PROPERTY_SETTINGS

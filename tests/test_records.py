@@ -9,7 +9,6 @@ from cowordmap.records import (
     ClassScheme,
     PeriodWindow,
     Record,
-    RecordSet,
     class_crosstab,
     class_distribution,
     filter_records,
@@ -38,7 +37,7 @@ def test_parse_single_row(tmp_path):
     )
     rs = parse_records(path, (SCHEME_X, SCHEME_Y))
     assert len(rs) == 1
-    r = rs.records[0]
+    r = rs[0]
     assert r == Record("p1", "BAD", 2004, "T", "Information Services", "Libraries",
                        ("public libraries", "reading"))
 
@@ -49,7 +48,7 @@ def test_parse_shares_equal_strings_across_records(tmp_path):
     path = write_corpus(tmp_path, "p1,BAD,2004,T,X,P,alpha; beta\n"
                                   "p2, BAD ,2005,U, X ,P ,beta;alpha ;;  alpha\n"
                                   "p3,WOS,2004,V,Y,,gamma; X\n")
-    one, two, three = parse_records(path, (SCHEME_X, SCHEME_Y)).records
+    one, two, three = parse_records(path, (SCHEME_X, SCHEME_Y))
     assert two.raw_keywords == ("beta", "alpha", "alpha")
     assert one.source is two.source and one.class_a is two.class_a and one.class_b is two.class_b
     assert one.raw_keywords[0] is two.raw_keywords[1] is two.raw_keywords[2]
@@ -120,20 +119,20 @@ def test_parse_keyword_cell_of_separators_only_is_empty(tmp_path):
 def test_year_range_override(tmp_path):
     path = write_corpus(tmp_path, "a,BAD,1999,T,,,k\n")
     rs = parse_records(path, (SCHEME_X, SCHEME_Y), year_range=(1990, 2020))
-    assert rs.records[0].year == 1999
+    assert rs[0].year == 1999
     rs = parse_records(path, (SCHEME_X, SCHEME_Y), year_range=None)
-    assert rs.records[0].year == 1999
+    assert rs[0].year == 1999
 
 
 def test_roundtrip_preserves_values(tmp_path, schemes, fixture_records):
     out = tmp_path / "again.csv"
     write_records(fixture_records, out)
     again = parse_records(out, schemes)
-    assert again.records == fixture_records.records
+    assert again == fixture_records
 
 
 def test_filter_identity(fixture_records):
-    assert filter_records(fixture_records).records == fixture_records.records
+    assert filter_records(fixture_records) == fixture_records
 
 
 def test_filter_by_source_matches_hand_count(fixture_records):
@@ -160,7 +159,7 @@ def test_split_periods_fixture(fixture_records):
 
 def test_split_single_window_identity(fixture_records):
     (only,) = split_periods(fixture_records, [PeriodWindow(2001, 2012)])
-    assert only.records == fixture_records.records
+    assert only == fixture_records
 
 
 def test_split_out_of_range_window_empty(fixture_records):
@@ -184,19 +183,19 @@ def test_distribution_exact_division():
         Record(f"r{i}", "BAD", 2005, "", "X" if i < 6 else "Y", None, ())
         for i in range(10)
     )
-    rows = class_distribution(RecordSet(records), scheme)
+    rows = class_distribution(records, scheme)
     assert rows == [("X", 6, 60), ("Y", 4, 40)]
 
 
 def test_distribution_empty_set():
     scheme = ClassScheme("s", ("X", "Y"))
-    assert class_distribution(RecordSet(()), scheme) == [("X", 0, 0), ("Y", 0, 0)]
+    assert class_distribution((), scheme) == [("X", 0, 0), ("Y", 0, 0)]
 
 
 @pytest.mark.parametrize("which", ["a", "b"])
 def test_distribution_rejects_label_outside_scheme(which):
     # records built by hand skip parse_records' scheme check; the tally must not drop the label
-    rs = RecordSet((Record("r0", "BAD", 2005, "", "X", "X", ()), Record("r1", "BAD", 2005, "", "Nope", "Nope", ())))
+    rs = (Record("r0", "BAD", 2005, "", "X", "X", ()), Record("r1", "BAD", 2005, "", "Nope", "Nope", ()))
     with pytest.raises(KeyError, match="'Nope' not in scheme 's'"):
         class_distribution(rs, ClassScheme("s", ("X", "Y")), which)
 
@@ -215,7 +214,7 @@ def test_distribution_fixture_matches_spreadsheet_tally(schemes, fixture_records
 def test_crosstab_single_record():
     a = ClassScheme("a", ("X", "Z"))
     b = ClassScheme("b", ("P", "Q"))
-    rs = RecordSet((Record("r", "BAD", 2005, "", "X", "P", ()),))
+    rs = (Record("r", "BAD", 2005, "", "X", "P", ()),)
     row_labels, col_labels, counts = class_crosstab(rs, a, b)
     assert row_labels == ["X", "Z"] and col_labels == ["P", "Q"]
     assert counts == [[1, 0], [0, 0]]

@@ -7,9 +7,8 @@ import pytest
 import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
 from cowordmap.errors import InputError
-from cowordmap.records import Record, RecordSet
+from cowordmap.records import Record
 from cowordmap.vocabulary import (
-    MappingTable,
     coverage_stats,
     descriptor_frequencies,
     load_mapping,
@@ -19,10 +18,10 @@ from cowordmap.vocabulary import (
 
 
 def record_set(*keyword_lists):
-    return RecordSet(tuple(
+    return tuple(
         Record(f"r{i}", "BAD", 2005, "", None, None, tuple(kws))
         for i, kws in enumerate(keyword_lists)
-    ))
+    )
 
 
 def test_match_key_rules():
@@ -91,14 +90,14 @@ def test_normalize_merge_then_dedupe(fixture_mapping):
 
 def test_normalize_empty_mapping_passthrough():
     rs = record_set(["Reading  Habits", "reading habits", "Libraries"])
-    idx = normalize(rs, MappingTable({}), passthrough=True)
+    idx = normalize(rs, {}, passthrough=True)
     assert idx.per_record["r0"] == ("libraries", "reading habits")
     assert sorted(idx.unmapped) == ["libraries", "reading habits"]
 
 
 def test_normalize_strict_diverts_unmapped():
     rs = record_set(["mapped", "oddball"])
-    table = MappingTable({"mapped": "Mapped"})
+    table = {"mapped": "Mapped"}
     idx = normalize(rs, table, passthrough=False)
     assert idx.per_record["r0"] == ("Mapped",)
     assert idx.unmapped == {"oddball": 1}
@@ -116,10 +115,10 @@ def test_normalize_fixture_matches_brute_force(fixture_index):
 
 
 def test_normalize_idempotent(fixture_index, fixture_mapping):
-    canonical_records = RecordSet(tuple(
+    canonical_records = tuple(
         Record(rid, "BAD", 2005, "", None, None, tuple(sorted(descs)))
         for rid, descs in fixture_index.per_record.items()
-    ))
+    )
     again = normalize(canonical_records, fixture_mapping)
     assert again.totals == fixture_index.totals
     assert again.per_record == fixture_index.per_record
