@@ -229,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
                 _warn(stage, counts[stage], config)
             return 0
 
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         fn = next(f for name, f, _ in stage_table() if name == args.command)
         extra = [getattr(args, flag[2:].replace("-", "_")) for flag, _ in STAGE_FLAGS.get(args.command, ())]
         stats = run_stage(args.command, fn, config, *extra, state=RunState(config))

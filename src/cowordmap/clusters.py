@@ -3,8 +3,10 @@
 Two-phase agglomeration (local moving + aggregation) on the
 similarity-weighted graph by default, or on raw co-occurrence weights.
 Everything is deterministic: vertices are visited in canonical order and
-ties go to the lowest cluster id. Components are clustered independently,
-so no cluster can span disconnected themes.
+ties go to the lowest cluster id. The whole map is clustered in one run
+against the one modularity that is reported, as VOSviewer clusters a map.
+No cluster can span disconnected themes: a vertex only joins a neighbour's
+community, and an aggregated level carries no weight between components.
 """
 
 from __future__ import annotations
@@ -13,20 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    CoNetwork,
-    association_strength,
-    connected_components,
-    raw_weight_matrix,
-)
+from .network import CoNetwork, association_strength, raw_weight_matrix
 
 
 @dataclass(frozen=True)
 class ClusterPartition:
     """Total assignment of vertex index -> cluster id (1-based, dense).
 
-    ``sweeps`` counts the local-moving sweeps that found it, over every level
-    and component; ``settled`` is false when some level used all
+    ``sweeps`` counts the local-moving sweeps of the one whole-map run that
+    found it, over every level; ``settled`` is false when some level used all
     ``MAX_SWEEPS`` sweeps, the cap that stops a level still moving.
     """
 
@@ -142,65 +139,42 @@ def _local_moving(b: np.ndarray, gamma: float) -> tuple[np.ndarray, int]:
     return np.array(comm), sweeps
 
 
-def _louvain(b: np.ndarray, gamma: float) -> tuple[np.ndarray, list[int]]:
-    """Full two-phase agglomeration on one connected weight matrix; returns
-    the assignment and the local-moving sweeps of each level."""
-    n = b.shape[0]
-    assignment = np.arange(n)
-    level = b.astype(float).copy()
-    sweeps = []
-    while True:
-        comm, level_sweeps = _local_moving(level, gamma)
-        sweeps.append(level_sweeps)
-        ids = sorted({int(c) for c in comm})
-        if len(ids) == level.shape[0]:
-            return assignment, sweeps
-        relabel = {c: i for i, c in enumerate(ids)}
-        comm_rel = np.array([relabel[int(c)] for c in comm])
-        assignment = comm_rel[assignment]
-        p = np.zeros((level.shape[0], len(ids)))
-        p[np.arange(level.shape[0]), comm_rel] = 1.0
-        level = p.T @ level @ p
-
-
 def detect_clusters(
     net: CoNetwork,
     resolution: float = 1.0,
     use_similarity: bool = True,
 ) -> ClusterPartition:
-    """Greedy modularity clusters, one run per connected component.
+    """Greedy modularity clusters of the whole map: local moving, then each
+    community merged into one node, level by level until a level merges none.
 
-    The reported modularity is computed with the same weighting and
-    resolution the optimizer used, and is never below the all-singletons
-    value (the optimizer starts there and only accepts improvements).
+    The optimizer raises the modularity it reports, with the same weighting
+    and resolution, over the whole map; the value is never below the
+    all-singletons one, where it starts. No cluster spans two components: a
+    vertex only joins a neighbour's community, and a merged level carries no
+    weight between components. Each level's weights are summed in a fixed
+    order, with no BLAS product.
     """
     if net.n_vertices == 0:
         raise ValueError("cannot cluster an empty network")
     if not 0 < resolution < np.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    w = _weight_matrix(net, use_similarity)
-    n = net.n_vertices
-    raw = np.zeros(n, dtype=int)
-    offset = 0
-    sweeps: list[int] = []
-    for comp in connected_components(net):
-        idx = np.asarray(comp)
-        local, comp_sweeps = _louvain(w[np.ix_(idx, idx)], resolution)
-        sweeps += comp_sweeps
-        for pos, orig in enumerate(comp):
-            raw[orig] = offset + int(local[pos])
-        offset += int(local.max()) + 1
+    level = _weight_matrix(net, use_similarity)
+    assignment = np.arange(net.n_vertices)
+    sweeps = []
+    while True:
+        comm, level_sweeps = _local_moving(level, resolution)
+        sweeps.append(level_sweeps)
+        ids, comm = np.unique(comm, return_inverse=True)
+        k = len(ids)
+        if k == len(level):
+            break
+        assignment = comm[assignment]
+        level = np.bincount((comm[:, None] * k + comm).ravel(), weights=level.ravel(), minlength=k * k).reshape(k, k)
     # renumber to 1..k by first appearance in canonical vertex order
-    seen: dict[int, int] = {}
-    assignment = []
-    for v in range(n):
-        c = int(raw[v])
-        if c not in seen:
-            seen[c] = len(seen) + 1
-        assignment.append(seen[c])
-    partition = ClusterPartition(tuple(assignment), 0.0)
-    q = modularity(net, partition, resolution, use_similarity)
-    return ClusterPartition(tuple(assignment), q, sum(sweeps), max(sweeps) < MAX_SWEEPS)
+    _, first, inverse = np.unique(assignment, return_index=True, return_inverse=True)
+    assignment = tuple((np.argsort(np.argsort(first)) + 1)[inverse].tolist())
+    q = modularity(net, ClusterPartition(assignment, 0.0), resolution, use_similarity)
+    return ClusterPartition(assignment, q, sum(sweeps), max(sweeps) < MAX_SWEEPS)
 
 
 def cluster_summary(

@@ -92,6 +92,18 @@ def _parse_vertex_line(line: str, lineno: int, path: Path) -> tuple[int, str, tu
     return vid, label, (x, y)
 
 
+def _vertex_count(lines: list[tuple[int, str]], path: Path) -> int:
+    """The n of the ``*Vertices n`` header, which must be the first of a file's
+    non-blank ``(line number, line)`` pairs."""
+    if not lines:
+        raise InputError(f"{path}: empty file")
+    no, first = lines[0]
+    match = re.fullmatch(r"\*vertices\s+(\d+)", first.strip(), re.IGNORECASE | re.ASCII)
+    if match is None:
+        raise InputError(f"{path}:{no}: expected '*Vertices n', n a vertex count, got {first.strip()!r}")
+    return int(match.group(1))
+
+
 def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
     """Parse a file in the dialect above.
 
@@ -104,20 +116,8 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
         raw_lines = fh.read().splitlines()
 
     lines = [(no, line) for no, line in enumerate(raw_lines, start=1) if line.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    pos = 0
-    no, first = lines[pos]
-    parts = first.split()
-    if len(parts) != 2 or parts[0].lower() != "*vertices":
-        raise InputError(f"{path}:{no}: expected '*Vertices n', got {first.strip()!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise InputError(f"{path}:{no}: bad vertex count {parts[1]!r}")
-    if n < 0:
-        raise InputError(f"{path}:{no}: negative vertex count")
-    pos += 1
+    n = _vertex_count(lines, path)
+    pos = 1
 
     labels: list[str] = []
     coords: list[tuple[float, float] | None] = []
@@ -183,11 +183,11 @@ def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     path = Path(path)
     with artifact_reader(path) as fh:
         lines = [(no, l.strip()) for no, l in enumerate(fh.read().splitlines(), start=1) if l.strip()]
-    if not lines or not lines[0][1].lower().startswith("*vertices"):
-        raise InputError(f"{path}: not a Pajek partition file")
-    body = lines[1:]
+    count, body = _vertex_count(lines, path), lines[1:]
     if len(body) != n:
         raise InputError(f"{path}: has {len(body)} assignments, network has {n} vertices")
+    if count != n:
+        raise InputError(f"{path}:{lines[0][0]}: header counts {count} vertices, but {n} assignments follow")
     ids = []
     for no, text in body:
         try:

@@ -251,9 +251,13 @@ class RunState:
     (the period .net files), ``partition`` (network.clu) and ``layout`` (network.net).
     A stage sets what it made, as a later stage would read it back; a field no stage
     has set is read from its file on first use and kept, and a missing file names
-    the stage that writes it."""
+    the stage that writes it. Making one makes the output directory."""
 
     def __init__(self, config: RunConfig):
+        try:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {config.out_dir}: {exc}") from exc
         self.config = config
 
     @cached_property
@@ -509,7 +513,7 @@ def _sha256(path: Path) -> str:
 def run_pipeline(config: RunConfig) -> dict:
     """Run every stage in order and write the manifest; returns the manifest."""
     started = datetime.now(timezone.utc).isoformat()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    state = RunState(config)
     manifest_path = config.out_dir / MANIFEST_FILE
     try:  # a run that fails leaves no earlier run's manifest beside its artifacts
         if manifest_path.is_file():
@@ -525,7 +529,6 @@ def run_pipeline(config: RunConfig) -> dict:
             raise StageError("ingest", InputError(f"input file {path} does not exist"))
         digests[name] = {"path": str(path), "sha256": _sha256(Path(path))}
 
-    state = RunState(config)
     stages, seconds = {}, {}
     for name, fn, _ in stage_table():
         # compare diffs the period networks, so a run compares only when there are two

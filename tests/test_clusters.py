@@ -14,7 +14,7 @@ from cowordmap.clusters import (
     format_legend,
     modularity,
 )
-from cowordmap.network import association_strength, make_network
+from cowordmap.network import association_strength, component_subnetworks, make_network, threshold_filter
 
 
 def two_cliques_with_bridge():
@@ -124,6 +124,23 @@ def test_clusters_never_span_components():
         cluster_comp: dict[int, int] = {}
         for v, c in enumerate(p.assignment):
             assert cluster_comp.setdefault(c, comp_of[v]) == comp_of[v]
+
+
+def test_whole_map_beats_clustering_each_component_alone(fixture_network):
+    # the fixture at --min-occ 3 has two components; clustering each one against
+    # its own total weight fragments the map and scores lower on the map's modularity
+    net = threshold_filter(fixture_network, 3)
+    parts = component_subnetworks(net)
+    assert len(parts) == 2
+    split = [0] * net.n_vertices
+    for comp, sub in parts:
+        offset = max(split)
+        for v, c in zip(comp, detect_clusters(sub).assignment):
+            split[v] = offset + c
+    split_q = modularity(net, ClusterPartition(tuple(split), 0.0), 1.0, use_similarity=True)
+    p = detect_clusters(net)
+    assert p.modularity == modularity(net, p, 1.0, use_similarity=True)
+    assert p.modularity > split_q
 
 
 def test_cluster_ids_dense_and_deterministic(fixture_network):

@@ -111,6 +111,18 @@ def test_read_rejects_malformed_lines(tmp_path):
         read_pajek_clu(clu, 2)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("*Vertices 99", "header counts 99 vertices, but 3 assignments follow"),
+    ("*Verticesfoo", r"expected '\*Vertices n', n a vertex count, got '\*Verticesfoo'"),
+    ("*Vertices -3", r"expected '\*Vertices n', n a vertex count, got '\*Vertices -3'"),
+], ids=["count", "glued", "negative"])
+def test_read_clu_checks_its_header(tmp_path, header, message):
+    clu = tmp_path / "bad.clu"
+    clu.write_text(f"{header}\n1\n1\n2\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"bad.clu:1: {message}$"):
+        read_pajek_clu(clu, 3)
+
+
 def test_read_rejects_partial_coordinates(tmp_path):
     path = tmp_path / "bad.net"
     path.write_text('*Vertices 2\n1 "a" 0.1 0.2\n2 "b"\n*Edges\n', encoding="utf-8")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
 import random
 import re
 import subprocess
@@ -261,6 +262,32 @@ def test_export_rejects_a_network_net_of_another_network(tmp_path, capsys, stale
     assert err.splitlines() == [f"error in stage 'export': {net_path} does not hold the network of "
                                 "vertices.csv and edges.csv; run the 'layout' stage again"]
     assert (out / "map.svg").read_bytes() == drawn
+
+
+@pytest.mark.parametrize("header", ["*Vertices 99", "*Verticesfoo", "*Vertices -3"], ids=["count", "glued", "negative"])
+def test_export_rejects_a_network_clu_header(tmp_path, capsys, header):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    clu = out / "network.clu"
+    rows = clu.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    clu.write_text(header + "\n" + "".join(rows), encoding="utf-8")
+    code = main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error in stage 'export': {clu}:1: ")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_unusable_out_exits_one(tmp_path, capsys, command, under):
+    taken = tmp_path / "afile"
+    taken.write_text("", encoding="utf-8")
+    out = taken / "x" if under else taken
+    code = main([command, "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot create output directory {out}: ")
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -930,6 +957,29 @@ def test_run_does_not_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "network.net").exists()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels")
+def test_clusters_are_the_same_on_every_blas_setting(tmp_path):
+    # the fixture at --min-occ 3, a map of two components; no kernel newer than
+    # Haswell is forced, since one that the CPU lacks would crash
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    package_root = str(Path(pipeline.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    settings = {"one-thread": {"OPENBLAS_NUM_THREADS": "1"}, "two-threads": {"OPENBLAS_NUM_THREADS": "2"},
+                "prescott": {"OPENBLAS_CORETYPE": "Prescott"}, "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"}}
+    found = {}
+    for name, blas in settings.items():
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "cowordmap", "run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+             "--windows", "2001-2006,2007-2012", "--min-occ", "3", "--out", str(out)],
+            capture_output=True, text=True, env={**env, **blas},
+        )
+        assert result.returncode == 0, (name, result.stderr)
+        found[name] = [(out / f).read_bytes() for f in ("network.clu", "cluster_summary.csv")]
+    for name in settings:
+        assert found[name] == found["one-thread"], name
 
 
 PACKAGE_DIR = Path(pipeline.__file__).resolve().parent
