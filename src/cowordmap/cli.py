@@ -141,16 +141,19 @@ def _help(option: Option) -> str:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Line-oriented ``key = value`` file; '#' comments and blanks ignored.
-    A key that names no option is an error."""
+    A key that names no option, or that is given twice, is an error."""
     keys = {option.key for option in OPTIONS}
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, stripped in content_lines(path, "config file "):
         key, sep, value = (part.strip() for part in stripped.partition("="))
         if not sep:
             raise InputError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         if key not in keys:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        if key in lines:
+            raise InputError(f"{path}:{lineno}: config key {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

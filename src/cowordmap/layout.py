@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .network import CoNetwork, component_subnetworks, edge_matrix
+from .network import CoNetwork, components, edge_matrix
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,12 @@ def graph_distances(net: CoNetwork) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All-pairs shortest paths per component over edge lengths 1/weight.
 
     Returns (original vertex indices, distance matrix) pairs; cross-component
-    distances are simply absent.
+    distances are simply absent. One Floyd-Warshall pass over the whole network
+    gives each component's matrix bit for bit as a pass over that component
+    alone: a vertex outside it adds ``inf``, and those inside relax in order.
     """
-    out = []
-    for comp, sub in component_subnetworks(net):
-        d = edge_matrix(sub, 1.0 / sub.edge_array[:, 2], np.inf)
-        out.append((comp, _kernels.floyd_warshall(d)))
-    return out
+    d = _kernels.floyd_warshall(edge_matrix(net, 1.0 / net.edge_array[:, 2], np.inf))
+    return [(comp, d[np.ix_(comp, comp)]) for comp in components(d)]
 
 
 class _Stress:

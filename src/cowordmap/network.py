@@ -256,35 +256,13 @@ def hop_distance_matrix(net: CoNetwork) -> np.ndarray:
     return _kernels.floyd_warshall(edge_matrix(net, 1.0, np.inf))
 
 
-def connected_components(net: CoNetwork) -> tuple[tuple[int, ...], ...]:
-    """Vertex index groups, each sorted, ordered by smallest member."""
-    n = net.n_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in net.edge_array[:, :2].tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def component_subnetworks(net: CoNetwork) -> list[tuple[tuple[int, ...], CoNetwork]]:
-    """(original indices, subnetwork) per component, preserving vertex order."""
-    return [(comp, _induced(net, comp)) for comp in connected_components(net)]
+def components(dist: np.ndarray) -> list[tuple[int, ...]]:
+    """The vertex groups of a shortest-path matrix (``np.inf`` between groups), each
+    ascending, ordered by smallest member: a vertex's root is the first it reaches."""
+    if not len(dist):
+        return []  # argmax has no empty axis
+    root = np.isfinite(dist).argmax(axis=1)
+    return [tuple(np.flatnonzero(root == r).tolist()) for r in np.flatnonzero(root == np.arange(root.size))]
 
 
 def degrees(net: CoNetwork) -> list[int]:
@@ -315,4 +293,4 @@ def network_metrics(net: CoNetwork) -> NetworkMetrics:
         size = int(finite.sum())
         total = float(hop[v][finite].sum())
         closeness.append((size - 1) / total if total > 0 else 0.0)
-    return NetworkMetrics(centrality, tuple(closeness), density, len(connected_components(net)))
+    return NetworkMetrics(centrality, tuple(closeness), density, len(components(hop)))

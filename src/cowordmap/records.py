@@ -165,16 +165,10 @@ def write_records(rs: tuple[Record, ...], path: str | Path) -> None:
                                      for rid, source, year, title, a, b, keywords in rs))
 
 
-def filter_records(
-    rs: tuple[Record, ...],
-    source: str | None = None,
-    years: PeriodWindow | None = None,
-) -> tuple[Record, ...]:
-    """Subset of ``rs`` matching every given predicate; the input is untouched."""
+def filter_records(rs: tuple[Record, ...], source: str | None = None) -> tuple[Record, ...]:
+    """The records of ``rs`` from ``source`` (all of them when None), in order."""
     if source is not None:
         rs = tuple(r for r in rs if r.source == source)
-    if years is not None:
-        rs = tuple(r for r in rs if r.year in years)
     return rs
 
 

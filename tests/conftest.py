@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cowordmap.network import CoNetwork, build_network, make_network
+import oracles
+from cowordmap.network import CoNetwork, _induced, build_network, make_network
 from cowordmap.pipeline import default_scheme_path
 from cowordmap.records import parse_records, load_scheme
 from cowordmap.vocabulary import OccurrenceIndex, load_mapping, normalize
@@ -71,4 +72,11 @@ def connected_random_network(rng: np.random.Generator, n: int) -> CoNetwork:
     return build_network(OccurrenceIndex.from_sets(per_record))[-1]
 
 
-__all__ = ["make_network", "random_network", "connected_random_network"]
+def component_subnetworks(net: CoNetwork) -> list[tuple[tuple[int, ...], CoNetwork]]:
+    """(ascending vertex indices, induced subnetwork) per component, ordered by
+    smallest member, with the components found by the oracle's own search."""
+    comps = [tuple(sorted(c)) for c in oracles.components_of(net.n_vertices, {(i, j) for i, j, _ in net.edges})]
+    return [(comp, _induced(net, comp)) for comp in comps]
+
+
+__all__ = ["make_network", "random_network", "connected_random_network", "component_subnetworks"]

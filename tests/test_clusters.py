@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_network
+from conftest import component_subnetworks, random_network
 from cowordmap.clusters import (
     MAX_SWEEPS,
     ClusterPartition,
@@ -14,7 +14,7 @@ from cowordmap.clusters import (
     format_legend,
     modularity,
 )
-from cowordmap.network import association_strength, component_subnetworks, make_network, threshold_filter
+from cowordmap.network import association_strength, make_network, threshold_filter
 
 
 def two_cliques_with_bridge():
@@ -110,15 +110,13 @@ def test_detected_beats_singletons(fixture_network):
 
 def test_clusters_never_span_components():
     rng = np.random.default_rng(23)
-    from cowordmap.network import connected_components
-
     for _ in range(20):
         net = random_network(rng, n_descriptors=int(rng.integers(3, 14)), n_records=8)
         if net.n_vertices == 0:
             continue
         p = detect_clusters(net)
         comp_of = {}
-        for k, comp in enumerate(connected_components(net)):
+        for k, comp in enumerate(oracles.components_of(net.n_vertices, {(i, j) for i, j, _ in net.edges})):
             for v in comp:
                 comp_of[v] = k
         cluster_comp: dict[int, int] = {}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import connected_random_network
+from conftest import component_subnetworks, connected_random_network
 from cowordmap.layout import (
     LayoutMap,
     LayoutParams,
@@ -20,7 +20,7 @@ from cowordmap.layout import (
     stress,
     stress_gradient,
 )
-from cowordmap.network import CoNetwork, component_subnetworks, make_network, threshold_filter
+from cowordmap.network import CoNetwork, make_network, threshold_filter
 
 
 def full_distance_matrix(net):

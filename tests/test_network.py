@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import MAPPING_TXT, RECORDS_CSV, random_network
+from conftest import MAPPING_TXT, RECORDS_CSV, component_subnetworks, random_network
 from cowordmap.network import (
     association_strength,
     build_network,
-    connected_components,
-    component_subnetworks,
+    components,
     edge_query,
+    hop_distance_matrix,
     make_network,
     network_metrics,
     threshold_filter,
@@ -251,7 +251,7 @@ def test_components_and_subnetworks():
         [("a", 3), ("b", 3), ("c", 2), ("x", 2), ("y", 2), ("lone", 1)],
         [("a", "b", 2), ("b", "c", 1), ("x", "y", 1)],
     )
-    comps = connected_components(net)
+    comps = components(hop_distance_matrix(net))
     as_labels = [tuple(net.labels[i] for i in comp) for comp in comps]
     assert sorted(len(c) for c in comps) == [1, 2, 3]
     assert {frozenset(c) for c in as_labels} == {
@@ -259,7 +259,9 @@ def test_components_and_subnetworks():
         frozenset({"x", "y"}),
         frozenset({"lone"}),
     }
-    for comp, sub in component_subnetworks(net):
+    subnets = component_subnetworks(net)
+    assert [comp for comp, _ in subnets] == comps
+    for comp, sub in subnets:
         assert tuple(net.labels[i] for i in comp) == sub.labels
         full = edges_by_label(net)
         assert all(full[(sub.labels[i], sub.labels[j])] == c for i, j, c in sub.edges)

@@ -1054,6 +1054,20 @@ def test_cli_unknown_config_key_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "net"])
+def test_cli_repeated_config_key_exit_one(tmp_path, capsys, command):
+    # neither value may win silently: the file would say two things
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_occurrences = 2\n# a later edit\nmin_occurrences = 7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--records", str(RECORDS_CSV), "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{cfg}:3: config key 'min_occurrences' is already set on line 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_overlapping_windows_exit_one_before_any_stage(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--records", str(RECORDS_CSV), "--out", str(out), "--windows", "2001-2006,2005-2012"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from xml.etree import ElementTree
@@ -17,11 +18,17 @@ import oracles
 from cowordmap.cli import main
 from cowordmap.errors import csv_line
 from cowordmap.clusters import MAX_SWEEPS, ClusterPartition, _local_moving, detect_clusters, modularity
+from cowordmap import _kernels
+from cowordmap.layout import graph_distances
 from cowordmap.network import (
     CoNetwork,
+    _induced,
     association_strength,
     build_network,
-    connected_components,
+    components,
+    edge_matrix,
+    hop_distance_matrix,
+    make_network,
     threshold_filter,
 )
 from cowordmap.pajek import format_pajek_net, read_pajek_net
@@ -93,20 +100,13 @@ def occurrence_indexes(draw, max_descriptors=10, max_records=25):
 
 
 @PROPERTY_SETTINGS
-@given(record_sets(), st.none() | st.sampled_from(("BAD", "WOS", "OTHER")),
-       st.none() | st.tuples(st.integers(2001, 2012), st.integers(0, 6)))
-def test_filter_chain_shrinks_and_satisfies(rs, source, window_spec):
-    window = None
-    if window_spec is not None:
-        start, span = window_spec
-        window = PeriodWindow(start, min(start + span, 2012))
-    out = filter_records(rs, source=source, years=window)
+@given(record_sets(), st.none() | st.sampled_from(("BAD", "WOS", "OTHER")))
+def test_filter_chain_shrinks_and_satisfies(rs, source):
+    out = filter_records(rs, source=source)
     assert len(out) <= len(rs)
     for r in out:
         if source is not None:
             assert r.source == source
-        if window is not None:
-            assert r.year in window
     # kept records appear in input order
     ids = [r.id for r in rs]
     assert [r.id for r in out] == [i for i in ids if i in {r.id for r in out}]
@@ -154,8 +154,15 @@ def test_parse_is_loss_free(tmp_path_factory, rs):
     assert parse_records(tmp / "two.csv", (SCHEME_A, SCHEME_B)) == once
 
 
+# Python 3.10's csv module cannot write a NUL ("need to escape, but no escapechar set"),
+# so there the cells that the csv module writes below hold none; the program's NUL path
+# is covered on every version by
+# test_pipeline.py::test_cli_control_character_keyword_fails_normalize[nul]
+_NO_NUL = None if sys.version_info >= (3, 11) else "\x00"
+
 # the characters csv quoting turns on, among any others
-_cell = st.text(alphabet=st.sampled_from(',"\r\n; é€') | st.characters(blacklist_categories=("Cs",)),
+_cell = st.text(alphabet=st.sampled_from(',"\r\n; é€')
+                | st.characters(blacklist_categories=("Cs",), blacklist_characters=_NO_NUL),
                 max_size=12)
 
 
@@ -351,12 +358,39 @@ def test_clusters_respect_components(idx):
     assume(net.n_vertices > 0)
     partition = detect_clusters(net)
     comp_of = {}
-    for k, comp in enumerate(connected_components(net)):
+    for k, comp in enumerate(oracles.components_of(net.n_vertices, {(i, j) for i, j, _ in net.edges})):
         for v in comp:
             comp_of[v] = k
     cluster_comp: dict[int, int] = {}
     for v, c in enumerate(partition.assignment):
         assert cluster_comp.setdefault(c, comp_of[v]) == comp_of[v]
+
+
+@st.composite
+def sparse_networks(draw, max_vertices=12):
+    """Up to ``max_vertices`` vertices and as many weighted edges, so that many
+    vertices are isolated and many networks fall apart into components."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
+    return CoNetwork(tuple(f"v{i}" for i in range(n)), None, sorted((i, j, c) for (i, j), c in zip(chosen, counts)))
+
+
+@PROPERTY_SETTINGS
+@given(sparse_networks())
+@example(CoNetwork(("a", "b", "c", "d", "e"), None, [(0, 3, 1), (2, 4, 2)]))  # interleaved, one isolated
+def test_components_match_the_oracle(net):
+    expected = [tuple(sorted(c)) for c in oracles.components_of(net.n_vertices, {(i, j) for i, j, _ in net.edges})]
+    assert components(hop_distance_matrix(net)) == expected
+    distances = graph_distances(net)
+    assert [comp for comp, _ in distances] == expected
+    for comp, d in distances:  # bit for bit what one pass over the component alone gives
+        sub = _induced(net, comp)
+        alone = _kernels.floyd_warshall(edge_matrix(sub, 1.0 / sub.edge_array[:, 2], np.inf))
+        assert d.tobytes() == alone.tobytes()
+    assert components(np.zeros((0, 0))) == []
+    assert graph_distances(make_network([], [])) == []
 
 
 _raw_words = st.text(alphabet="abcdef", min_size=1, max_size=6)
@@ -460,7 +494,7 @@ def test_pajek_serialization_fixed_point(tmp_path_factory, idx):
     assert again.labels == net.labels and again.edges == net.edges
 
 
-_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_any_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_NO_NUL), max_size=12)
 
 
 @st.composite

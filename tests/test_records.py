@@ -143,13 +143,6 @@ def test_filter_by_source_matches_hand_count(fixture_records):
     assert all(r.source == "WOS" for r in got)
 
 
-def test_filter_windows_partition(fixture_records):
-    w1 = filter_records(fixture_records, years=PeriodWindow(2001, 2006))
-    w2 = filter_records(fixture_records, years=PeriodWindow(2007, 2012))
-    assert len(w1) + len(w2) == len(fixture_records)
-    assert {r.id for r in w1}.isdisjoint(r.id for r in w2)
-
-
 def test_split_periods_fixture(fixture_records):
     parts = split_periods(fixture_records, [PeriodWindow(2001, 2006), PeriodWindow(2007, 2012)])
     in_range = sum(1 for r in fixture_records if 2001 <= r.year <= 2012)
