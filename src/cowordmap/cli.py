@@ -122,8 +122,8 @@ OPTIONS = (
     Option("--layout-tolerance", "layout_tolerance", "layout.tolerance", float,
            "gradient tolerance, in units of a component's mean graph distance"),
     Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int,
-           "trust-region Newton iterations allowed per component, rejected steps included "
-           "(the majorization sweeps before them are not counted)"),
+           "Newton iterations allowed per component (neither the line search's backtracks "
+           "nor the majorization sweeps before them are counted)"),
     Option("--svg-size", "svg_size", "svg.size", int, "SVG viewport size in px"),
     Option("--edge-floor", "edge_weight_floor", "svg.edge_weight_floor", int, "hide SVG edges below this weight"),
 )
@@ -205,7 +205,7 @@ def _warn(stage: str, stats: dict, config: RunConfig) -> None:
         cause = (f"within {config.layout.max_iterations} iterations per component" if stats["budget_spent"]
                  else f"to the tolerance {config.layout.tolerance:g}: it stopped at float precision")
         print(f"warning: layout did not converge {cause} ({stats['iterations']} iterations used over all "
-              "components)", file=sys.stderr)
+              f"components; largest vertex gradient norm {stats['max_gradient']:.3g})", file=sys.stderr)
     if stage == "cluster" and not stats["settled"]:
         print(f"warning: clustering stopped at {clusters.MAX_SWEEPS} local-moving sweeps on some level "
               f"before it settled ({stats['sweeps']} sweeps over all levels)", file=sys.stderr)

@@ -10,26 +10,30 @@ minimized per connected component over all of its coordinates at once.
 Each component starts from its classical-MDS layout, turned to match a
 circle in canonical vertex order, so runs are reproducible without a seed.
 Stress majorization (SMACOF, ``_majorize``), whose every sweep lowers E,
-brings it near a minimum; trust-region Newton (``minimize``: Steihaug's
-truncated conjugate gradient on the dense analytic Hessian, in a diagonally
-scaled region, in numpy) then converges. ``_Stress`` is the one
+brings it near a minimum; line-search Newton-CG (``minimize``: truncated
+conjugate gradient on the diagonally scaled dense analytic Hessian, then
+backtracking, in numpy) then converges. ``_Stress`` is the one
 implementation of E: built once per component, with every term that depends
 only on the distances precomputed, it returns E and its analytic gradient
 from a single pass over the pair matrix, and its Hessian reuses that pass's
 pair geometry. ``stress`` and ``stress_gradient`` evaluate it at ``(m, 2)``
-coordinates. Each component is solved in units of its mean graph distance,
-which is also the unit of ``LayoutParams.tolerance``.
+coordinates. Each component is solved at scale 1 in units of its mean graph
+distance, which is also the unit of ``LayoutParams.tolerance``; E is
+quadratic in the coordinates, so the map at ``scale`` is the solved one
+times ``scale`` and its stress times ``scale**2``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .errors import InputError
 from .network import CoNetwork, components, edge_matrix
 
 
@@ -54,16 +58,18 @@ class LayoutMap:
 
     Raw optimizer output keeps display units (``normalized=False``);
     ``layout_network`` returns unit-square coordinates. ``final_stress``
-    always refers to the optimizer's coordinate frame. ``iterations`` counts
-    Newton iterations and ``sweeps`` majorization sweeps, each summed over
-    components. ``budget_spent`` says that some component that did not
-    converge used all of its Newton iterations (``kamada_kawai``).
-    ``stress_history`` holds one non-increasing trace per component when
-    present: the stress of the classical-MDS start, then one entry per
-    majorization sweep, then one per Newton iteration, where a rejected step
-    repeats the value before it. ``components`` lists the
-    vertex indices of each connected component the optimizer solved apart,
-    in the order of ``stress_history``; it is empty when unknown.
+    always refers to the raw coordinates, at ``LayoutParams.scale``.
+    ``iterations`` counts Newton iterations and ``sweeps`` majorization
+    sweeps, each summed over components. ``budget_spent`` says that some
+    component that did not converge used all of its Newton iterations, and
+    ``max_gradient`` is the largest final vertex gradient norm, in the units
+    of ``LayoutParams.tolerance`` (``kamada_kawai``). ``stress_history``
+    holds one decreasing trace per component when present: the stress of the
+    classical-MDS start, then one entry per majorization sweep, then one per
+    Newton iteration, each strictly below the one before. ``components``
+    lists the vertex indices of each connected component the optimizer
+    solved apart, in the order of ``stress_history``; it is empty when
+    unknown.
     """
 
     coords: np.ndarray
@@ -75,6 +81,7 @@ class LayoutMap:
     budget_spent: bool = False
     stress_history: tuple[tuple[float, ...], ...] | None = None
     components: tuple[tuple[int, ...], ...] = ()
+    max_gradient: float = 0.0
 
     def __post_init__(self):
         coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.float64))
@@ -105,9 +112,9 @@ class _Stress:
     Everything that depends only on ``dmat`` and ``scale`` is computed here,
     once. ``objective`` forms a point's pair geometry (the offsets ``dx``,
     ``dy`` and the distances ``r``) in preallocated buffers and returns
-    ``(stress, gradient)`` from that one pass; ``hessian`` at the same point
-    reuses the geometry. Pairs at infinite graph distance, and each vertex
-    with itself, add nothing.
+    ``(stress, gradient)`` from that one pass; ``hessian`` and
+    ``scaled_hessian`` at the same point reuse the geometry. Pairs at
+    infinite graph distance, and each vertex with itself, add nothing.
     """
 
     def __init__(self, dmat: np.ndarray, scale: float):
@@ -124,6 +131,7 @@ class _Stress:
         self.weight = np.where(finite, 2.0 / (d * d), 0.0)
         self.weight_target = self.weight * self.target
         self.dx, self.dy, self.r, self.work = (np.empty((m, m)) for _ in range(4))
+        self.scaled = np.empty((2 * m, 2 * m))  # every scaled_hessian, in place
         self.at: np.ndarray | None = None  # the point the geometry belongs to
 
     def objective(self, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -150,11 +158,21 @@ class _Stress:
         return value, np.concatenate(((work * dx).sum(axis=1), (work * dy).sum(axis=1)))
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
-        """A fresh dense ``(2m, 2m)`` Hessian in blocks ``[[xx, xy], [xy, yy]]``.
+        """A fresh dense ``(2m, 2m)`` Hessian in blocks ``[[xx, xy], [xy, yy]]``."""
+        return self._assemble(z, np.empty((2 * self.m, 2 * self.m)), False)[0]
+
+    def scaled_hessian(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(D^-1 H D^-1, D^-1)`` for the scaling D of ``_inverse_scaling``,
+        written into ``self.scaled``, the same array at every call."""
+        return self._assemble(z, self.scaled, True)
+
+    def _assemble(self, z: np.ndarray, h: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
+        """H at ``z`` into ``h``, scaled by ``D^-1`` on both sides or not (D = 1).
 
         With ``w = 2/d^2``, ``t = scale d`` and ``delta = p_i - p_j``, pair i, j
         adds ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal
-        entries of i and j and subtracts it from the entries between them.
+        entries of i and j and subtracts it from the entries between them. D
+        comes from the blocks' row sums, which are H's diagonal.
         """
         if not np.array_equal(self.at, z):
             self.objective(z)
@@ -163,13 +181,17 @@ class _Stress:
         outer = self.weight_target * inv_r
         outer *= inv_r
         outer *= inv_r
-        h = np.empty((2 * m, 2 * m))
-        for block, pair in ((h[:m, :m], iso + outer * dx * dx), (h[:m, m:], outer * dx * dy),
-                            (h[m:, m:], iso + outer * dy * dy)):
-            np.negative(pair, out=block)
-            np.fill_diagonal(block, pair.sum(axis=1))
-        h[m:, :m] = h[:m, m:]
-        return h
+        pairs = (iso + outer * dx * dx, outer * dx * dy, iso + outer * dy * dy)
+        sums = [pair.sum(axis=1) for pair in pairs]
+        inverse = _inverse_scaling(np.concatenate((sums[0], sums[2]))) if scaled else np.ones(2 * m)
+        ix, iy = inverse[:m], inverse[m:]
+        for block, pair, total, rows, cols in zip((h[:m, :m], h[:m, m:], h[m:, m:]), pairs, sums,
+                                                  (ix, ix, iy), (ix, iy, iy)):
+            pair *= rows[:, None]
+            np.multiply(pair, -cols, out=block)
+            np.fill_diagonal(block, total * rows * cols)
+        h[m:, :m] = h[:m, m:].T
+        return h, inverse
 
 
 def _blocks(x: np.ndarray) -> np.ndarray:
@@ -198,93 +220,85 @@ class Solution:
     nfev: int
 
 
-def _model(f: float, g: np.ndarray, h: np.ndarray, p: np.ndarray) -> float:
-    return f + g @ p + 0.5 * (p @ (h @ p))
+def _inverse_scaling(diag: np.ndarray) -> np.ndarray:
+    """``D^-1`` for the diagonal Hessian scaling
+    ``D = sqrt(max(|diag H|, 1e-3 max |diag H|))``, normalized to geometric mean 1."""
+    diag = np.abs(diag)
+    top = diag.max()
+    scaling = np.sqrt(np.maximum(diag, 1e-3 * top)) if top > 0 else np.ones_like(diag)
+    scaling /= np.exp(np.log(scaling).mean())
+    return 1.0 / scaling
 
 
-def _to_boundary(z: np.ndarray, d: np.ndarray, radius: float) -> tuple[float, float]:
-    """Both roots t of ``|z + t d| = radius``, low first, in the stable form."""
-    a, b, c = d @ d, 2.0 * (z @ d), z @ z - radius * radius
-    aux = b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b)
-    return tuple(sorted((-aux / (2.0 * a), -2.0 * c / aux)))
-
-
-def _steihaug(f: float, g: np.ndarray, h: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
-    """Truncated CG on the model ``f + g.p + p.H.p / 2`` within ``|p| <= radius``
-    (Steihaug 1983; Nocedal & Wright 2006, Alg. 7.2). Returns (step, on boundary).
-    CG needs at most ``g.size`` steps in exact arithmetic; twenty times that
+def _newton_cg(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A Newton direction: conjugate gradient on ``h q = -g`` (Nocedal & Wright
+    2006, Alg. 7.1) until the residual is below ``min(0.1, sqrt|g|) |g|``
+    (forcing term 0.1; Eisenstat & Walker 1996). Non-positive curvature in the
+    first CG direction gives ``-g``, in a later one the current iterate. CG
+    needs at most ``g.size`` steps in exact arithmetic; twenty times that
     bounds it in floating point.
     """
-    g_norm = math.sqrt(g @ g)
-    tolerance = min(0.5, math.sqrt(g_norm)) * g_norm
+    rr = g @ g
+    g_norm = math.sqrt(rr)
+    tolerance = min(0.1, math.sqrt(g_norm)) * g_norm
     z, r, d = np.zeros_like(g), g, -g
-    for _ in range(20 * g.size):
+    for j in range(20 * g.size):
         hd = h @ d
         curvature = d @ hd
-        if not curvature > 0:  # negative curvature: the better end of the line
-            pa, pb = (z + t * d for t in _to_boundary(z, d, radius))
-            return (pa if _model(f, g, h, pa) < _model(f, g, h, pb) else pb), True
-        rr = r @ r
+        if not curvature > 0:
+            return -g if j == 0 else z
         alpha = rr / curvature
-        z_next = z + alpha * d
-        if math.sqrt(z_next @ z_next) >= radius:
-            return z + _to_boundary(z, d, radius)[1] * d, True
+        z = z + alpha * d
         r = r + alpha * hd
         rr_next = r @ r
         if math.sqrt(rr_next) < tolerance:
-            return z_next, False
+            break
         d = -r + (rr_next / rr) * d
-        z = z_next
-    return z, False
+        rr = rr_next
+    return z
 
 
 def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
-             hessian: Callable[[np.ndarray], np.ndarray], gtol: float, maxiter: int,
-             callback: Callable[[float], None] | None = None) -> Solution:
-    """Trust-region Newton with Steihaug's truncated CG (Nocedal & Wright 2006,
-    Alg. 4.1) in a diagonally scaled trust region.
+             hessian: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]], gtol: float,
+             maxiter: int, callback: Callable[[float], None] | None = None) -> Solution:
+    """Line-search Newton-CG (Nocedal & Wright 2006, Alg. 7.1) on a diagonally
+    scaled Newton system.
 
-    At each new point the Hessian H is rebuilt, with the scaling
-    ``D = sqrt(max(|diag H|, 1e-3 max |diag H|))`` normalized to geometric
-    mean 1. ``_steihaug`` solves the model in ``q = D p``, on ``D^-1 g`` and
-    ``D^-1 H D^-1``, so the region is ``|D p| <= radius`` and each step is
-    ``D^-1 q``; that evens out the curvature CG sees. The radius starts at 1
-    and never exceeds 1000; a step is taken when the actual reduction is
-    above 0.15 of the model's, the radius shrinks by 4 below 0.25 and doubles
-    above 0.75 if the step reached it. Stops when the norm of the unscaled
-    gradient is below ``gtol``, after ``maxiter`` iterations, or when the
-    model predicts no reduction. ``callback`` gets the value at the current
-    point after every iteration, so a rejected step repeats the value before
-    it.
+    ``hessian(x)`` returns the Hessian H, which stays as it was, or the pair
+    ``(D^-1 H D^-1, D^-1)`` for the scaling D of ``_inverse_scaling``, as
+    ``_Stress.scaled_hessian`` does. ``_newton_cg`` solves for ``q = D p`` on
+    ``D^-1 g`` and ``D^-1 H D^-1``, which evens out the curvature CG sees, so
+    the direction is ``p = D^-1 q``, or ``-D^-2 g`` under negative curvature.
+    Backtracking halves the step from ``p`` until the value falls strictly and
+    by at least ``1e-4`` of the slope ``g.p`` times the step (Armijo). Stops
+    when the norm of the gradient is below ``gtol``, after ``maxiter``
+    iterations, or at float precision: ``p`` is not downhill, or the step has
+    shrunk until it no longer moves the point. ``nit`` counts iterations and
+    ``nfev`` every evaluation, backtracks included; ``callback`` gets the value
+    after every iteration, each strictly below the one before.
     """
     x = np.array(x0, dtype=np.float64).ravel()
     f, g = objective(x)
-    nfev, nit, radius, h = 1, 0, 1.0, None
+    nfev, nit = 1, 0
     while math.sqrt(g @ g) >= gtol and nit < maxiter:
-        if h is None:
-            h = hessian(x)
-            diag = np.abs(np.diagonal(h))
-            top = diag.max()
-            scaling = np.sqrt(np.maximum(diag, 1e-3 * top)) if top > 0 else np.ones_like(diag)
-            scaling /= np.exp(np.log(scaling).mean())
-            inverse = 1.0 / scaling
+        h = hessian(x)
+        if isinstance(h, tuple):
+            h, inverse = h
+        else:
+            inverse = _inverse_scaling(np.diagonal(h))
             h = h * inverse  # a new array: the caller's Hessian stays as it was
             h *= inverse[:, None]
-            gs = g * inverse
-        q, on_boundary = _steihaug(f, gs, h, radius)
-        predicted = f - _model(f, gs, h, q)
-        if not predicted > 0:
+        p = _newton_cg(g * inverse, h) * inverse
+        slope, t = g @ p, 1.0
+        while slope < 0 and not np.array_equal(x_new := x + t * p, x):
+            f_new, g_new = objective(x_new)
+            nfev += 1
+            if f_new < f and f_new - f <= 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:  # no step moves the point downhill: float precision
             break
-        x_new = x + q * inverse
-        f_new, g_new = objective(x_new)
-        nfev += 1
-        rho = (f - f_new) / predicted
-        if rho < 0.25:
-            radius *= 0.25
-        elif rho > 0.75 and on_boundary:
-            radius = min(2.0 * radius, 1000.0)
-        if rho > 0.15:
-            x, f, g, h = x_new, f_new, g_new, None
+        x, f, g = x_new, f_new, g_new
         nit += 1
         if callback is not None:
             callback(f)
@@ -322,9 +336,10 @@ def _majorize(stress: _Stress, z: np.ndarray, trace: list[float]) -> tuple[np.nd
     Guttman transform ``z <- V^+ B(z) z``, which is ``centre(z) - V^+ g / 2``
     for the stress gradient g at z; ``V^+ = inv(V + J) - J`` with
     ``J = 11^T / m``. Appends the stress of the start, then of each sweep,
-    to ``trace``. Stops when a sweep lowers the stress by less than 1e-3 of
-    its value, or does not lower it (that sweep is dropped), or after
-    ``MAX_SWEEPS`` sweeps. Returns the point and the sweeps made.
+    to ``trace``. Stops when a sweep lowers the stress by less than 1e-2 of
+    its value, where Newton takes over, or does not lower it (that sweep is
+    dropped), or after ``MAX_SWEEPS`` sweeps. Returns the point and the
+    sweeps made.
     """
     m = stress.m
     w = 0.5 * stress.weight
@@ -341,36 +356,32 @@ def _majorize(stress: _Stress, z: np.ndarray, trace: list[float]) -> tuple[np.nd
             break
         trace.append(f_new)
         sweeps += 1
-        settled = f - f_new < 1e-3 * f
+        settled = f - f_new < 1e-2 * f
         z, f, g = z_new, f_new, g_new
         if settled:
             break
     return z, sweeps
 
 
-def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, int, bool, list[float]]:
-    """Stress majorization (``_majorize``) from the classical-MDS layout, then
-    trust-region Newton (``minimize``, with the analytic Hessian) over all
-    coordinates of one component, in units of the component's mean graph
-    distance (stress is the same in any unit).
-
-    Returns (coordinates, Newton iterations, sweeps, converged, stress
-    trace); the trace starts at the stress of the start, adds one entry per
-    sweep, then one per Newton iteration, a rejected step repeating the value
-    before it.
+def _minimize_component(dmat: np.ndarray, params: LayoutParams) -> tuple[np.ndarray, int, int, float, list[float]]:
+    """``_majorize`` from the classical-MDS layout, then ``minimize`` over all
+    coordinates of one component, at scale 1 in units of its mean graph
+    distance (stress is the same in any unit). Returns (coordinates, Newton
+    iterations, sweeps, the largest vertex gradient norm, stress trace: the
+    start, then one entry per sweep and one per Newton iteration).
     """
     m = dmat.shape[0]
     unit = float(dmat.sum()) / (m * (m - 1))  # every pair of a component is finite
     scaled = dmat / unit
-    stress = _Stress(scaled, params.scale)
+    stress = _Stress(scaled, 1.0)
     trace: list[float] = []
-    start, sweeps = _majorize(stress, (params.scale * classical_mds(scaled)).T.ravel(), trace)
+    start, sweeps = _majorize(stress, classical_mds(scaled).T.ravel(), trace)
     # the whole gradient's norm bounds each vertex's gradient norm
-    result = minimize(stress.objective, start, stress.hessian,
+    result = minimize(stress.objective, start, stress.scaled_hessian,
                       params.tolerance, params.max_iterations, callback=trace.append)
     gx, gy = result.jac.reshape(2, m)
-    converged = bool((np.sqrt(gx * gx + gy * gy) < params.tolerance).all())
-    return result.x.reshape(2, m).T * unit, result.nit, sweeps, converged, trace
+    gradient = float(np.sqrt(gx * gx + gy * gy).max())
+    return result.x.reshape(2, m).T * unit, result.nit, sweeps, gradient, trace
 
 
 def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> LayoutMap:
@@ -379,53 +390,54 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     Each component starts from its classical-MDS layout (``classical_mds``)
     around its own origin, so components of a disconnected network overlap
     until ``pack_components`` arranges them. A component is brought near its
-    minimum by stress majorization (``_majorize``, at most ``MAX_SWEEPS``
-    sweeps), then solved by trust-region Newton over all of its coordinates
-    at once, for at most ``params.max_iterations`` iterations.
-    ``iterations`` sums the Newton iterations over components, rejected
-    steps included, and ``sweeps`` the majorization sweeps. ``converged`` means
-    every vertex's stress-gradient norm ended below ``params.tolerance``, in
-    units of the component's mean graph distance (so multiplying every edge
-    weight by one constant gives the same map, up to the limit that
-    ``classical_mds`` cannot fix: a component whose top MDS eigenvalue has
-    multiplicity above two, such as a hub with four or more equal leaves,
-    may come out rotated); a budget used up, or a solver stopped by float
-    precision first, leaves it false and is never raised. ``budget_spent``
-    tells the two apart: a component's gradient below the tolerance stops the
-    solver as converged, so one that stops short of it before its last
-    iteration stopped at float precision.
+    minimum by stress majorization (``_majorize``), then solved by Newton-CG
+    (``minimize``) for at most ``params.max_iterations`` iterations, at scale
+    1; the coordinates are then multiplied by ``params.scale`` and the
+    stresses by its square, and a scale that takes either past the largest
+    float, or the coordinates below the smallest normal one, is an
+    ``InputError``. ``converged`` means every vertex's
+    stress-gradient norm, the largest of which is ``max_gradient``, ended
+    below ``params.tolerance``, in units of the component's mean graph
+    distance (so multiplying every edge weight by one constant gives the same
+    map, up to the limit that ``classical_mds`` cannot fix: a component whose
+    top MDS eigenvalue has multiplicity above two, such as a hub with four or
+    more equal leaves, may come out rotated). A budget used up, or a solver
+    stopped by float precision first, leaves it false and is never raised;
+    ``budget_spent`` tells the two apart.
     """
     if net.n_vertices == 0:
         raise ValueError("cannot lay out an empty network")
     coords = np.zeros((net.n_vertices, 2))
     histories: list[tuple[float, ...]] = []
-    total = 0.0
     iterations = sweeps = 0
-    converged, budget_spent = True, False
+    max_gradient, budget_spent = 0.0, False
     distances = graph_distances(net)
     for comp, dmat in distances:
         if len(comp) == 1:
             histories.append((0.0,))
             continue
-        pos, it, sw, conv, trace = _minimize_component(dmat, params)
-        for local, orig in enumerate(comp):
-            coords[orig] = pos[local]
+        pos, it, sw, gradient, trace = _minimize_component(dmat, params)
+        coords[list(comp)] = pos
         histories.append(tuple(trace))
-        total += trace[-1]
         iterations += it
         sweeps += sw
-        converged = converged and conv
-        budget_spent = budget_spent or (not conv and it == params.max_iterations)
+        max_gradient = max(max_gradient, gradient)
+        budget_spent = budget_spent or (gradient >= params.tolerance and it == params.max_iterations)
+    s = params.scale
+    histories = [tuple(v * s * s for v in trace) for trace in histories]
+    extent = float(np.abs(coords).max()) * s
+    if not (sys.float_info.min <= extent < math.inf or extent == 0.0) or sum(t[0] for t in histories) == math.inf:
+        raise InputError(f"layout scale {s!r} takes the map's coordinates or stress out of the float range")
     return LayoutMap(
-        coords,
-        final_stress=total,
-        converged=converged,
+        coords * s,
+        final_stress=sum(trace[-1] for trace in histories),
+        converged=max_gradient < params.tolerance,
         iterations=iterations,
         sweeps=sweeps,
-        normalized=False,
         budget_spent=budget_spent,
         stress_history=tuple(histories),
         components=tuple(comp for comp, _ in distances),
+        max_gradient=max_gradient,
     )
 
 
@@ -503,4 +515,5 @@ def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Lay
         sweeps=raw.sweeps,
         normalized=True,
         budget_spent=raw.budget_spent,
+        max_gradient=raw.max_gradient,
     )

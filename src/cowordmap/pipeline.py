@@ -431,6 +431,7 @@ def stage_layout(config: RunConfig, *, state: RunState) -> dict:
         "sweeps": layout.sweeps,
         "converged": layout.converged,
         "budget_spent": layout.budget_spent,
+        "max_gradient": layout.max_gradient,
         "final_stress": layout.final_stress,
     }
 

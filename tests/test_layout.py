@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import component_subnetworks, connected_random_network
+from cowordmap.errors import InputError
 from cowordmap.layout import (
     LayoutMap,
     LayoutParams,
+    _inverse_scaling,
+    _newton_cg,
     _Stress,
+    classical_mds,
     graph_distances,
     kamada_kawai,
     layout_network,
@@ -377,13 +383,13 @@ def test_minimize_reaches_the_minimiser_of_a_convex_quadratic():
     assert np.linalg.norm(result.jac) < 1e-6
     assert np.array_equal(result.jac, objective(result.x)[1])
     np.testing.assert_allclose(result.x, np.linalg.solve(a, b), rtol=0, atol=1e-6)
-    assert result.nit > 1  # the first steps are held to the initial radius
+    assert result.nit > 1  # CG stops at its forcing term, short of the exact Newton step
     assert result.nfev >= result.nit + 1
 
 
 def test_minimize_scales_a_badly_conditioned_diagonal_quadratic():
-    # condition number 1e6; the same trust region without the diagonal
-    # scaling, |p| <= radius, takes 7 iterations here
+    # condition number 1e6; the same Newton-CG without the diagonal scaling
+    # (CG on H itself) takes 4 iterations here
     a = np.logspace(0, 6, 4)
     x_star = 3.0 / np.sqrt(a)
 
@@ -396,18 +402,22 @@ def test_minimize_scales_a_badly_conditioned_diagonal_quadratic():
     np.testing.assert_allclose(result.x, x_star, rtol=1e-9)
 
 
-def test_minimize_takes_the_boundary_under_negative_curvature():
+def test_minimize_steps_downhill_under_negative_curvature():
     x0 = np.array([0.1, 0.05])
     start, g0 = hat(x0)
     assert np.linalg.eigvalsh(hat_hessian(x0)).max() < 0
     first = minimize(hat, x0, hat_hessian, 1e-10, 1)
     step = first.x - x0
-    # the region is |D p| <= radius, D from the Hessian's diagonal
+    # CG meets negative curvature at once, so the step is along -D^-2 g, D from
+    # the Hessian's diagonal, the full step or a halving of it
     diag = np.abs(np.diagonal(hat_hessian(x0)))
     scaling = np.sqrt(np.maximum(diag, 1e-3 * diag.max()))
     scaling /= np.exp(np.log(scaling).mean())
-    assert np.linalg.norm(scaling * step) == pytest.approx(1.0, rel=1e-12)  # the initial radius
-    assert step @ g0 < 0  # the boundary point downhill, not the one behind
+    direction = -g0 / (scaling * scaling)
+    t = (step @ direction) / (direction @ direction)
+    np.testing.assert_allclose(step, t * direction, rtol=1e-12, atol=0)
+    assert any(t == pytest.approx(0.5 ** k, rel=1e-12) for k in range(53))
+    assert step @ g0 < 0
     assert first.fun < start
     result = minimize(hat, x0, hat_hessian, 1e-10, 100)
     assert result.fun < start
@@ -425,16 +435,103 @@ def test_minimize_stops_at_maxiter_and_the_layout_says_so():
     assert not lm.converged
 
 
-def test_minimize_repeats_the_value_before_a_rejected_step():
+def test_minimize_lowers_the_value_at_every_iteration():
     x0 = np.array([-1.2, 1.0])
     trace = [rosenbrock(x0)[0]]
-    result = minimize(rosenbrock, x0, rosenbrock_hessian, 1e-8, 1000, callback=trace.append)
+    values = []
+
+    def counted(x):
+        value = rosenbrock(x)
+        values.append(value[0])
+        return value
+
+    result = minimize(counted, x0, rosenbrock_hessian, 1e-8, 1000, callback=trace.append)
     assert len(trace) == result.nit + 1
-    assert any(later == earlier for earlier, later in zip(trace, trace[1:]))  # Rosenbrock's valley rejects steps
-    assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    # Rosenbrock's valley makes the line search backtrack: evaluations, not iterations
+    assert len(values) == result.nfev > result.nit + 1
+    assert any(value >= earlier for earlier, value in zip(values, values[1:]))
     assert trace[-1] == result.fun
     np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=0, atol=1e-8)
-    assert result.nfev >= result.nit + 1
+
+
+def test_minimize_takes_no_step_that_leaves_the_value_as_it_was():
+    # slope -1e-320: the Armijo bound 1e-4 t slope underflows to -0.0, which an
+    # equal value would meet
+    def flat(x):
+        return 1.0, np.array([1e-160])
+
+    result = minimize(flat, np.zeros(1), lambda x: np.eye(1), 1e-300, 50)
+    assert result.nit == 0 and result.nfev > 1
+    assert result.x.tolist() == [0.0]
+
+
+def component_stress(seed, n, scale=1.0):
+    net = connected_random_network(np.random.default_rng(seed), n)
+    [(_, d)] = graph_distances(net)
+    return _Stress(d, scale), classical_mds(d).T.ravel()
+
+
+def test_scaled_hessian_is_the_scaled_hessian_in_one_buffer():
+    rng = np.random.default_rng(67)
+    s, z = component_stress(67, 14, 1.5)
+    for point in (z, z + 0.3 * rng.standard_normal(z.size)):
+        scaled, inverse = s.scaled_hessian(point)
+        h = s.hessian(point)
+        np.testing.assert_allclose(inverse, _inverse_scaling(np.diagonal(h)), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scaled, inverse[:, None] * h * inverse, rtol=1e-12, atol=0)
+        assert scaled is s.scaled
+
+
+def test_minimize_builds_every_scaled_hessian_in_one_buffer():
+    s, z = component_stress(71, 20)
+    buffers = []
+
+    def scaled_hessian(x):
+        scaled, inverse = s.scaled_hessian(x)
+        buffers.append(scaled)
+        return scaled, inverse
+
+    result = minimize(s.objective, z, scaled_hessian, 1e-6, 100)
+    assert np.linalg.norm(result.jac) < 1e-6
+    assert len(buffers) == result.nit > 1
+    assert all(b is s.scaled for b in buffers)
+
+
+def test_newton_cg_stops_inside_below_its_forcing_term():
+    # positive definite systems, so CG stops on its residual; |g| above and below 0.01
+    # gives both branches of min(0.1, sqrt|g|) |g|
+    rng = np.random.default_rng(73)
+    stopped_early = 0
+    for n, g_scale in ((6, 10.0), (12, 1e-3), (40, 1.0), (40, 1e-5)):
+        q = rng.standard_normal((n, n))
+        h = q @ q.T + 0.1 * np.eye(n)
+        g = g_scale * rng.standard_normal(n)
+        step = _newton_cg(g, h)
+        g_norm = np.linalg.norm(g)
+        residual = np.linalg.norm(h @ step + g)
+        assert residual < min(0.1, math.sqrt(g_norm)) * g_norm
+        assert step @ g < 0
+        stopped_early += residual > 1e-8 * g_norm
+    assert stopped_early  # not every system was solved to the last digit
+    # near a minimum of the stress, where CG meets no negative curvature
+    s, z = component_stress(79, 25)
+    z = minimize(s.objective, z, s.scaled_hessian, 1e-6, 100).x + 1e-3 * rng.standard_normal(z.size)
+    scaled, inverse = s.scaled_hessian(z)
+    g = s.objective(z)[1] * inverse
+    step = _newton_cg(g, scaled)
+    g_norm = np.linalg.norm(g)
+    assert np.linalg.norm(scaled @ step + g) < min(0.1, math.sqrt(g_norm)) * g_norm
+
+
+def test_newton_cg_under_non_positive_curvature():
+    g = np.array([1.0, 0.5, -0.25])
+    # the first direction, -g, meets it: steepest descent
+    assert np.array_equal(_newton_cg(g, -np.eye(3)), -g)
+    # a later direction meets it: the CG iterate so far, still downhill
+    h = np.diag([1.0, 1.0, -1.0])
+    step = _newton_cg(g, h)
+    assert not np.array_equal(step, -g) and step @ g < 0
 
 
 @pytest.mark.parametrize("factor", [1_000, 10_000])
@@ -447,6 +544,49 @@ def test_layout_is_invariant_to_edge_weight_scale(fixture_network, factor):
     light, scaled = layout_network(net), layout_network(heavy)
     assert light.converged and scaled.converged
     assert np.abs(scaled.coords - light.coords).max() < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-100, 0.37, 3.7, 1e100])
+def test_scale_is_divided_out_of_the_solve(fixture_network, scale):
+    # every component is solved at scale 1: the scale multiplies the coordinates
+    # and the stresses only, so the tolerance test cannot depend on it
+    net = threshold_filter(fixture_network, 2)
+    base, raw = kamada_kawai(net), kamada_kawai(net, LayoutParams(scale=scale))
+    assert (raw.iterations, raw.sweeps, raw.converged) == (base.iterations, base.sweeps, base.converged)
+    assert raw.converged and raw.max_gradient == base.max_gradient
+    assert np.array_equal(raw.coords, base.coords * scale)
+    assert raw.final_stress == pytest.approx(base.final_stress * scale * scale, rel=1e-12)
+    for got, expected in zip(raw.stress_history, base.stress_history):
+        np.testing.assert_allclose(got, np.array(expected) * scale * scale, rtol=1e-12, atol=0)
+    recomputed = sum(stress(raw.coords[list(comp)], d, scale) for comp, d in graph_distances(net))
+    assert raw.final_stress == pytest.approx(recomputed, rel=1e-9)
+    drawn = layout_network(net, LayoutParams(scale=scale))
+    assert np.abs(drawn.coords - layout_network(net).coords).max() < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e308, 5e-324])
+def test_scale_out_of_the_float_range_is_an_input_error(fixture_network, scale):
+    net = threshold_filter(fixture_network, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow on the way
+        with pytest.raises(InputError, match=re.escape(f"layout scale {scale!r} ")):
+            kamada_kawai(net, LayoutParams(scale=scale))
+
+
+def test_max_gradient_is_the_largest_final_vertex_gradient(fixture_network):
+    net = threshold_filter(fixture_network, 2)
+    tolerance = LayoutParams().tolerance
+    for params, converged in ((LayoutParams(), True), (LayoutParams(max_iterations=1), False)):
+        lm = kamada_kawai(net, params)
+        expected = 0.0
+        for comp, d in graph_distances(net):
+            if len(comp) > 1:  # in units of the component's mean graph distance
+                unit = d.sum() / (len(comp) * (len(comp) - 1))
+                g = stress_gradient(lm.coords[list(comp)] / unit, d / unit, 1.0)
+                expected = max(expected, np.sqrt((g * g).sum(axis=1)).max())
+        assert lm.max_gradient == pytest.approx(expected, rel=1e-6)
+        assert lm.converged is converged is (lm.max_gradient < tolerance)
+        assert layout_network(net, params).max_gradient == lm.max_gradient
 
 
 def test_params_validation():

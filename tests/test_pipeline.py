@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -453,6 +454,8 @@ def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
             "--windows", "2001-2006,2007-2012"]
     assert main(["run", *args, "--out", str(tmp_path / "plain")]) == 0
     assert "warning" not in capsys.readouterr().err
+    plain = json.loads((tmp_path / "plain" / MANIFEST_FILE).read_bytes())["stages"]["layout"]
+    assert plain["converged"] is True and 0 < plain["max_gradient"] < LayoutParams().tolerance
 
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out), "--layout-max-iter", "2"]) == 0
@@ -460,7 +463,9 @@ def test_cli_warns_when_layout_does_not_converge(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("warning: layout did not converge within 2 iterations")
     manifest = (out / MANIFEST_FILE).read_bytes()
-    assert json.loads(manifest)["stages"]["layout"]["converged"] is False
+    stats = json.loads(manifest)["stages"]["layout"]
+    assert stats["converged"] is False and stats["max_gradient"] > LayoutParams().tolerance
+    assert err.endswith(f"largest vertex gradient norm {stats['max_gradient']:.3g})\n")
 
     # the warning goes to stderr only: the manifest is what a direct run writes
     run_pipeline(fixture_config(out, layout=LayoutParams(max_iterations=2)))
@@ -576,6 +581,21 @@ def test_cli_negative_float_reaches_the_value_check(tmp_path, capsys, flag, key,
     assert "must be positive and finite" in err
     assert "expected one argument" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["1e308", "5e-324"])
+def test_cli_layout_scale_out_of_the_float_range_exit_one(tmp_path, capsys, scale):
+    # the map is solved at scale 1; coordinates that the scale takes out of the
+    # float range are an input error naming the value, not a numpy overflow
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT),
+                     "--windows", "2001-2006,2007-2012", "--out", str(out), "--layout-scale", scale])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error in stage 'layout': layout scale {float(scale)!r} takes the map's "
+                                "coordinates or stress out of the float range"]
 
 
 def test_cli_missing_records_exit_one(tmp_path, capsys):
