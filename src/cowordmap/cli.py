@@ -118,7 +118,8 @@ OPTIONS = (
     Option("--no-passthrough", "passthrough", "passthrough", _bool,
            "drop unmapped keywords instead of keeping them as descriptors", switch="false"),
     Option("--year-range", "year_range", "year_range", _year_range, 'valid record years, START-END or "none"'),
-    Option("--layout-scale", "layout_scale", "layout.scale", float, "ideal edge display length"),
+    Option("--layout-scale", "layout_scale", "layout.scale", float,
+           "multiplies only the raw layout coordinates and the reported stress"),
     Option("--layout-tolerance", "layout_tolerance", "layout.tolerance", float,
            "gradient tolerance, in units of a component's mean graph distance"),
     Option("--layout-max-iter", "layout_max_iterations", "layout.max_iterations", int,

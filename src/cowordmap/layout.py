@@ -15,11 +15,12 @@ conjugate gradient on the diagonally scaled dense analytic Hessian, then
 backtracking, in numpy) then converges. ``_Stress`` is the one
 implementation of E: built once per component, with every term that depends
 only on the distances precomputed, it returns E and its analytic gradient
-from a single pass over the pair matrix, and its Hessian reuses that pass's
-pair geometry. ``stress`` and ``stress_gradient`` evaluate it at ``(m, 2)``
-coordinates. Each component is solved at scale 1 in units of its mean graph
-distance, which is also the unit of ``LayoutParams.tolerance``; E is
-quadratic in the coordinates, so the map at ``scale`` is the solved one
+from a single pass over the pair matrix, and from that pass's pair geometry
+the one Hessian form ``minimize`` takes, ``(D^-1 H D^-1, D^-1)`` for the
+diagonal scaling D. ``stress`` and ``stress_gradient`` evaluate E at
+``(m, 2)`` coordinates. Each component is solved at scale 1 in units of its
+mean graph distance, which is also the unit of ``LayoutParams.tolerance``; E
+is quadratic in the coordinates, so the map at ``scale`` is the solved one
 times ``scale`` and its stress times ``scale**2``.
 """
 
@@ -39,6 +40,9 @@ from .network import CoNetwork, components, edge_matrix
 
 @dataclass(frozen=True)
 class LayoutParams:
+    """``scale`` multiplies only the raw coordinates and the reported stress:
+    the solve, and so the unit-square map, is the same at any scale."""
+
     scale: float = 1.0
     tolerance: float = 1e-4
     max_iterations: int = 10_000
@@ -112,9 +116,9 @@ class _Stress:
     Everything that depends only on ``dmat`` and ``scale`` is computed here,
     once. ``objective`` forms a point's pair geometry (the offsets ``dx``,
     ``dy`` and the distances ``r``) in preallocated buffers and returns
-    ``(stress, gradient)`` from that one pass; ``hessian`` and
-    ``scaled_hessian`` at the same point reuse the geometry. Pairs at
-    infinite graph distance, and each vertex with itself, add nothing.
+    ``(stress, gradient)`` from that one pass; ``scaled_hessian`` at the same
+    point reuses the geometry. Pairs at infinite graph distance, and each
+    vertex with itself, add nothing.
     """
 
     def __init__(self, dmat: np.ndarray, scale: float):
@@ -157,17 +161,10 @@ class _Stress:
         np.copyto(work, 0.0, where=self.off)
         return value, np.concatenate(((work * dx).sum(axis=1), (work * dy).sum(axis=1)))
 
-    def hessian(self, z: np.ndarray) -> np.ndarray:
-        """A fresh dense ``(2m, 2m)`` Hessian in blocks ``[[xx, xy], [xy, yy]]``."""
-        return self._assemble(z, np.empty((2 * self.m, 2 * self.m)), False)[0]
-
     def scaled_hessian(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(D^-1 H D^-1, D^-1)`` for the scaling D of ``_inverse_scaling``,
-        written into ``self.scaled``, the same array at every call."""
-        return self._assemble(z, self.scaled, True)
-
-    def _assemble(self, z: np.ndarray, h: np.ndarray, scaled: bool) -> tuple[np.ndarray, np.ndarray]:
-        """H at ``z`` into ``h``, scaled by ``D^-1`` on both sides or not (D = 1).
+        """``(D^-1 H D^-1, D^-1)`` at ``z`` for the scaling D of
+        ``_inverse_scaling``, H in blocks ``[[xx, xy], [xy, yy]]``, written
+        into ``self.scaled``, the same array at every call.
 
         With ``w = 2/d^2``, ``t = scale d`` and ``delta = p_i - p_j``, pair i, j
         adds ``w [(1 - t/r) I + t delta delta^T / r^3]`` to the diagonal
@@ -176,14 +173,14 @@ class _Stress:
         """
         if not np.array_equal(self.at, z):
             self.objective(z)
-        m, dx, dy, iso = self.m, self.dx, self.dy, self.work  # w (1 - t/r), the gradient factor
+        m, dx, dy, iso, h = self.m, self.dx, self.dy, self.work, self.scaled  # iso: w (1 - t/r), the gradient factor
         inv_r = 1.0 / np.maximum(self.r, 1e-12)
         outer = self.weight_target * inv_r
         outer *= inv_r
         outer *= inv_r
         pairs = (iso + outer * dx * dx, outer * dx * dy, iso + outer * dy * dy)
         sums = [pair.sum(axis=1) for pair in pairs]
-        inverse = _inverse_scaling(np.concatenate((sums[0], sums[2]))) if scaled else np.ones(2 * m)
+        inverse = _inverse_scaling(np.concatenate((sums[0], sums[2])))
         ix, iy = inverse[:m], inverse[m:]
         for block, pair, total, rows, cols in zip((h[:m, :m], h[:m, m:], h[m:, m:]), pairs, sums,
                                                   (ix, ix, iy), (ix, iy, iy)):
@@ -259,13 +256,13 @@ def _newton_cg(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
-             hessian: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]], gtol: float,
+             hessian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], gtol: float,
              maxiter: int, callback: Callable[[float], None] | None = None) -> Solution:
     """Line-search Newton-CG (Nocedal & Wright 2006, Alg. 7.1) on a diagonally
     scaled Newton system.
 
-    ``hessian(x)`` returns the Hessian H, which stays as it was, or the pair
-    ``(D^-1 H D^-1, D^-1)`` for the scaling D of ``_inverse_scaling``, as
+    ``hessian(x)`` returns the pair ``(D^-1 H D^-1, D^-1)`` for the Hessian H
+    at x and its scaling D of ``_inverse_scaling``, as
     ``_Stress.scaled_hessian`` does. ``_newton_cg`` solves for ``q = D p`` on
     ``D^-1 g`` and ``D^-1 H D^-1``, which evens out the curvature CG sees, so
     the direction is ``p = D^-1 q``, or ``-D^-2 g`` under negative curvature.
@@ -281,13 +278,7 @@ def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np
     f, g = objective(x)
     nfev, nit = 1, 0
     while math.sqrt(g @ g) >= gtol and nit < maxiter:
-        h = hessian(x)
-        if isinstance(h, tuple):
-            h, inverse = h
-        else:
-            inverse = _inverse_scaling(np.diagonal(h))
-            h = h * inverse  # a new array: the caller's Hessian stays as it was
-            h *= inverse[:, None]
+        h, inverse = hessian(x)
         p = _newton_cg(g * inverse, h) * inverse
         slope, t = g @ p, 1.0
         while slope < 0 and not np.array_equal(x_new := x + t * p, x):
@@ -392,10 +383,10 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
     until ``pack_components`` arranges them. A component is brought near its
     minimum by stress majorization (``_majorize``), then solved by Newton-CG
     (``minimize``) for at most ``params.max_iterations`` iterations, at scale
-    1; the coordinates are then multiplied by ``params.scale`` and the
-    stresses by its square, and a scale that takes either past the largest
-    float, or the coordinates below the smallest normal one, is an
-    ``InputError``. ``converged`` means every vertex's
+    1; the scale then multiplies only the coordinates, and the stresses by
+    its square. A scale that takes either past the largest float, or the
+    coordinates or a positive final stress below the smallest normal one, is
+    an ``InputError``. ``converged`` means every vertex's
     stress-gradient norm, the largest of which is ``max_gradient``, ended
     below ``params.tolerance``, in units of the component's mean graph
     distance (so multiplying every edge weight by one constant gives the same
@@ -424,13 +415,16 @@ def kamada_kawai(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Layou
         max_gradient = max(max_gradient, gradient)
         budget_spent = budget_spent or (gradient >= params.tolerance and it == params.max_iterations)
     s = params.scale
+    solved = sum(trace[-1] for trace in histories)
     histories = [tuple(v * s * s for v in trace) for trace in histories]
+    final_stress = sum(trace[-1] for trace in histories)
     extent = float(np.abs(coords).max()) * s
-    if not (sys.float_info.min <= extent < math.inf or extent == 0.0) or sum(t[0] for t in histories) == math.inf:
+    if (not (sys.float_info.min <= extent < math.inf or extent == 0.0) or sum(t[0] for t in histories) == math.inf
+            or 0 < solved and final_stress < sys.float_info.min):
         raise InputError(f"layout scale {s!r} takes the map's coordinates or stress out of the float range")
     return LayoutMap(
         coords * s,
-        final_stress=sum(trace[-1] for trace in histories),
+        final_stress=final_stress,
         converged=max_gradient < params.tolerance,
         iterations=iterations,
         sweeps=sweeps,

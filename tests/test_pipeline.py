@@ -583,7 +583,7 @@ def test_cli_negative_float_reaches_the_value_check(tmp_path, capsys, flag, key,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", ["1e308", "5e-324"])
+@pytest.mark.parametrize("scale", ["1e308", "1e-300", "5e-324"])
 def test_cli_layout_scale_out_of_the_float_range_exit_one(tmp_path, capsys, scale):
     # the map is solved at scale 1; coordinates that the scale takes out of the
     # float range are an input error naming the value, not a numpy overflow
@@ -596,6 +596,20 @@ def test_cli_layout_scale_out_of_the_float_range_exit_one(tmp_path, capsys, scal
     assert code == 1
     assert err.splitlines() == [f"error in stage 'layout': layout scale {float(scale)!r} takes the map's "
                                 "coordinates or stress out of the float range"]
+
+
+def test_cli_layout_scale_moves_no_artifact_byte(tmp_path):
+    # the scale multiplies only the raw coordinates and the reported stress:
+    # every written map is the unit-square one
+    args = ["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--windows", "2001-2006,2007-2012"]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--out", str(tmp_path / "scaled"), "--layout-scale", "7"]) == 0
+    plain, scaled = snapshot(tmp_path / "plain"), snapshot(tmp_path / "scaled")
+    assert set(plain) == set(scaled) == EXPECTED_FILES
+    for name in plain.keys() - {MANIFEST_FILE}:
+        assert scaled[name] == plain[name], name
+    stresses = [json.loads(files[MANIFEST_FILE])["stages"]["layout"]["final_stress"] for files in (plain, scaled)]
+    assert stresses[1] == pytest.approx(49 * stresses[0], rel=1e-12)
 
 
 def test_cli_missing_records_exit_one(tmp_path, capsys):
