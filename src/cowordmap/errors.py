@@ -1,8 +1,9 @@
-"""Exception types shared across the package, the one reader of text files
-(and, through it, of hand-written line files and of CSV files), the one
-artifact writer and the one CSV encoder (``csv_cell``, ``csv_line``,
-``write_csv``), which gives the bytes ``csv.writer(lineterminator="\\n")``
-gives: UTF-8, comma-separated, LF newlines, minimal quoting."""
+"""Exception types shared across the package, the one rule for a count field
+(``positive_count``), the one reader of text files (and, through it, of
+hand-written line files and of CSV files), the one artifact writer and the one
+CSV encoder (``csv_cell``, ``csv_line``, ``write_csv``), which gives the bytes
+``csv.writer(lineterminator="\\n")`` gives: UTF-8, comma-separated, LF
+newlines, minimal quoting."""
 
 from __future__ import annotations
 
@@ -30,6 +31,16 @@ class StageError(Exception):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def positive_count(text: str) -> int:
+    """A count field of an artifact: ASCII decimal digits for an n with 0 < n < 2**63,
+    so that an int64 array holds it."""
+    # 20 digits or more are above the bound (and int() refuses a few thousand)
+    value = int(text) if text.isascii() and text.isdigit() and len(text.lstrip("0")) < 20 else 0
+    if not 0 < value < 2**63:
+        raise ValueError(f"expected a positive integer count below 2**63, got {text!r}")
+    return value
 
 
 @contextmanager

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -494,20 +494,12 @@ def layout_network(net: CoNetwork, params: LayoutParams = LayoutParams()) -> Lay
     """Layout for a whole network: Kamada-Kawai per component, then packing.
 
     Coordinates come back in the network's vertex order, normalized to the
-    unit square.
+    unit square; the rest is ``kamada_kawai``'s, without the per-component
+    ``stress_history`` and ``components``.
     """
     raw = kamada_kawai(net, params)
     comps = [list(comp) for comp in raw.components]
     coords = np.zeros((net.n_vertices, 2))
     for comp, packed in zip(comps, pack_components([raw.coords[comp] for comp in comps])):
         coords[comp] = packed
-    return LayoutMap(
-        coords,
-        final_stress=raw.final_stress,
-        converged=raw.converged,
-        iterations=raw.iterations,
-        sweeps=raw.sweeps,
-        normalized=True,
-        budget_spent=raw.budget_spent,
-        max_gradient=raw.max_gradient,
-    )
+    return replace(raw, coords=coords, normalized=True, stress_history=None, components=())

@@ -2,17 +2,18 @@
 
 The dialect is deliberately narrow: ``*Vertices n`` with 1-based ids and
 quoted labels (optionally followed by x y in six decimals), then ``*Edges``
-with ``i j w`` integer-weight lines sorted ascending. UTF-8, LF newlines,
-byte-stable for a given network.
+with ``i j w`` lines sorted ascending, w a count (``errors.positive_count``).
+UTF-8, LF newlines, byte-stable for a given network.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
 from .clusters import ClusterPartition
-from .errors import InputError, artifact_reader, artifact_writer
+from .errors import InputError, artifact_reader, artifact_writer, positive_count
 from .layout import LayoutMap
 from .network import CoNetwork
 
@@ -88,17 +89,20 @@ def _parse_vertex_line(line: str, lineno: int, path: Path) -> tuple[int, str, tu
     try:
         x, y = float(tail[0]), float(tail[1])
     except ValueError:
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(f"{path}:{lineno}: bad coordinates {tail!r}")
     return vid, label, (x, y)
 
 
 def _vertex_count(lines: list[tuple[int, str]], path: Path) -> int:
     """The n of the ``*Vertices n`` header, which must be the first of a file's
-    non-blank ``(line number, line)`` pairs."""
+    non-blank ``(line number, line)`` pairs: 0 or more, in at most 19 ASCII digits
+    (``int`` refuses a few thousand)."""
     if not lines:
         raise InputError(f"{path}: empty file")
     no, first = lines[0]
-    match = re.fullmatch(r"\*vertices\s+(\d+)", first.strip(), re.IGNORECASE | re.ASCII)
+    match = re.fullmatch(r"\*vertices\s+(\d{1,19})", first.strip(), re.IGNORECASE | re.ASCII)
     if match is None:
         raise InputError(f"{path}:{no}: expected '*Vertices n', n a vertex count, got {first.strip()!r}")
     return int(match.group(1))
@@ -143,15 +147,17 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
         if len(parts) != 3:
             raise InputError(f"{path}:{no}: expected 'i j w', got {line.strip()!r}")
         try:
-            i, j, w = int(parts[0]), int(parts[1]), int(parts[2])
+            i, j = int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputError(f"{path}:{no}: edge fields must be integers: {line.strip()!r}")
+            raise InputError(f"{path}:{no}: edge endpoints must be integers: {line.strip()!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise InputError(f"{path}:{no}: edge endpoint out of range 1..{n}")
         if i == j:
             raise InputError(f"{path}:{no}: self-edge on vertex {i}")
-        if w <= 0:
-            raise InputError(f"{path}:{no}: edge weight must be positive, got {w}")
+        try:
+            w = positive_count(parts[2])
+        except ValueError as exc:
+            raise InputError(f"{path}:{no}: edge weight: {exc}") from None
         key = (min(i, j) - 1, max(i, j) - 1)
         if key in edges:
             raise InputError(f"{path}:{no}: duplicate edge {i} {j}")
@@ -160,6 +166,8 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
     net = CoNetwork(tuple(labels), None, tuple(sorted((i, j, w) for (i, j), w in edges.items())))
     layout = None
     if n > 0 and all(c is not None for c in coords):
+        if not all(math.isfinite(max(v) - min(v)) for v in zip(*coords)):  # map.svg scales by the spread
+            raise InputError(f"{path}: the coordinates spread wider than a float can hold")
         layout = _read_layout(coords)
     elif any(c is not None for c in coords):
         raise InputError(f"{path}: coordinates must be on all vertices or none")

@@ -37,7 +37,7 @@ from time import perf_counter
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
-from .errors import InputError, StageError, artifact_writer, csv_rows
+from .errors import InputError, StageError, artifact_writer, csv_rows, positive_count
 from .layout import LayoutMap, LayoutParams, layout_network
 from .network import CoNetwork, build_network, make_network, threshold_filter
 from .pajek import (LABEL_FORBIDS, read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu,
@@ -177,14 +177,6 @@ def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
     return config.out_dir / f"period_{window.start_year}_{window.end_year}.net"
 
 
-def _count(text: str) -> int:
-    """A count field of a CSV artifact: a positive integer."""
-    value = int(text) if text.isdecimal() else 0
-    if value < 1:
-        raise ValueError(f"expected a positive integer count, got {text!r}")
-    return value
-
-
 def _label(text: str) -> str:
     """A descriptor field of a CSV artifact: not blank, and fit for a map label (``pajek.representable``)."""
     if not text.strip() or not representable(text):
@@ -224,12 +216,12 @@ def _read_network(config: RunConfig) -> CoNetwork:
     vpath = _require(config.out_dir / VERTICES_FILE, "net")
     epath = _require(config.out_dir / EDGES_FILE, "net")
     weights = {}
-    for line, (label, count) in _csv_rows(vpath, VERTICES_HEADER, _label, _count):
+    for line, (label, count) in _csv_rows(vpath, VERTICES_HEADER, _label, positive_count):
         if label in weights:
             raise InputError(f"{vpath}:{line}: vertex {label!r} is listed twice")
         weights[label] = count
     edges, seen = [], set()
-    for line, (a, b, c) in _csv_rows(epath, EDGES_HEADER, _label, _label, _count):
+    for line, (a, b, c) in _csv_rows(epath, EDGES_HEADER, _label, _label, positive_count):
         for end in (a, b):
             if end not in weights:
                 raise InputError(f"{epath}:{line}: edge end {end!r} is not a vertex of {vpath}")

@@ -35,9 +35,9 @@ def match_key(raw: str) -> str:
 class OccurrenceIndex:
     """Each record's descriptors as one CSR table: row ``r`` is record ``records[r]``, in
     record order, and holds the int32 ids ``ids[indptr[r]:indptr[r + 1]]`` (int64 offsets)
-    of the sorted ``vocabulary``, ascending and each once. ``totals`` and ``per_record``
-    are read-only views built on first use. ``network.build_network`` counts the pairs of
-    each row straight from ``ids``, grouping the rows by window itself.
+    of the sorted ``vocabulary``, ascending and each once. ``per_record`` is a read-only
+    view built on first use. ``network.build_network`` counts the pairs of each row
+    straight from ``ids``, grouping the rows by window itself.
 
     ``unmapped`` tallies keywords (by match-key) that had no mapping entry,
     whether or not passthrough let them become descriptors. ``token_count``
@@ -63,10 +63,6 @@ class OccurrenceIndex:
     def occurrences(self) -> np.ndarray:
         """Each vocabulary descriptor's number of rows."""
         return np.bincount(self.ids, minlength=len(self.vocabulary))
-
-    @cached_property
-    def totals(self) -> Mapping[str, int]:
-        return MappingProxyType(dict(zip(self.vocabulary, self.occurrences.tolist())))
 
     @cached_property
     def per_record(self) -> Mapping[str, tuple[str, ...]]:
@@ -100,7 +96,6 @@ class CoverageStats:
     n_descriptors_retained: int
     n_occurrences_retained: int
     percent_retained: int
-    no_occurrences: bool = False
 
 
 def load_mapping(path: str | Path) -> dict[str, str]:
@@ -191,4 +186,4 @@ def coverage_stats(idx: OccurrenceIndex, min_occ: int) -> CoverageStats:
     retained = counts[counts >= min_occ]
     total_occ, retained_occ = int(counts.sum()), int(retained.sum())
     return CoverageStats(counts.size, total_occ, retained.size, retained_occ,
-                         percent_round_half_up(retained_occ, total_occ), no_occurrences=total_occ == 0)
+                         percent_round_half_up(retained_occ, total_occ))

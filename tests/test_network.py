@@ -15,7 +15,7 @@ from cowordmap.network import (
     network_metrics,
     threshold_filter,
 )
-from cowordmap.vocabulary import OccurrenceIndex
+from cowordmap.vocabulary import OccurrenceIndex, descriptor_frequencies
 
 
 def index_of_sets(*sets):
@@ -111,7 +111,7 @@ def test_threshold_before_or_after_construction_equivalent(fixture_index):
     # dropping rare descriptors from the records first, or from the built
     # network afterwards, must give the same network under set semantics
     after = threshold_filter(build_network(fixture_index)[-1], 5)
-    keep = {d for d, c in fixture_index.totals.items() if c >= 5}
+    keep = {d for d, c in descriptor_frequencies(fixture_index) if c >= 5}
     filtered_sets = {
         rid: frozenset(d for d in s if d in keep)
         for rid, s in fixture_index.per_record.items()

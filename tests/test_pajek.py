@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,18 @@ def test_read_rejects_malformed_lines(tmp_path):
     path.write_text('*Vertices 2\n2 "a"\n1 "b"\n*Edges\n', encoding="utf-8")
     with pytest.raises(InputError, match="ids must run"):
         read_pajek_net(path)
+    for x in ("nan", "inf", "1e999"):  # float() takes each, and no map can be drawn at it
+        path.write_text(f'*Vertices 2\n1 "a" 0.5 0.5\n2 "b" {x} 0.5\n*Edges\n', encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"bad.net:3: bad coordinates ['{x}', '0.5']") + "$"):
+            read_pajek_net(path)
+    path.write_text('*Vertices 2\n1 "a" 1e308 0.5\n2 "b" -1e308 0.5\n*Edges\n', encoding="utf-8")
+    with pytest.raises(InputError, match="bad.net: the coordinates spread wider than a float can hold$"):
+        read_pajek_net(path)
+    for w in (str(2**63), "0", "-1", "+3", "3_0", "٣"):  # the count rule of every artifact
+        path.write_text(f'*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2 {w}\n', encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"bad.net:5: edge weight: expected a positive integer "
+                                                       f"count below 2**63, got '{w}'") + "$"):
+            read_pajek_net(path)
     path.write_text("nonsense\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"expected '\*Vertices n'"):
         read_pajek_net(path)
@@ -115,7 +129,8 @@ def test_read_rejects_malformed_lines(tmp_path):
     ("*Vertices 99", "header counts 99 vertices, but 3 assignments follow"),
     ("*Verticesfoo", r"expected '\*Vertices n', n a vertex count, got '\*Verticesfoo'"),
     ("*Vertices -3", r"expected '\*Vertices n', n a vertex count, got '\*Vertices -3'"),
-], ids=["count", "glued", "negative"])
+    ("*Vertices " + "9" * 5000, r"expected '\*Vertices n', n a vertex count, got '\*Vertices 9{5000}'"),
+], ids=["count", "glued", "negative", "huge"])
 def test_read_clu_checks_its_header(tmp_path, header, message):
     clu = tmp_path / "bad.clu"
     clu.write_text(f"{header}\n1\n1\n2\n", encoding="utf-8")

@@ -265,6 +265,27 @@ def test_export_rejects_a_network_net_of_another_network(tmp_path, capsys, stale
     assert (out / "map.svg").read_bytes() == drawn
 
 
+@pytest.mark.parametrize("x1, x6, message", [
+    ("nan", "0.5", "{path}:2: bad coordinates ['nan', '0.5']"),
+    ("1e308", "-1e308", "{path}: the coordinates spread wider than a float can hold"),
+], ids=["nan", "spread"])
+def test_export_rejects_coordinates_no_map_can_be_drawn_at(tmp_path, capsys, x1, x6, message):
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    net_path = out / "network.net"
+    lines = net_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for no, x in ((1, x1), (6, x6)):  # the first and the last vertex
+        label_end = lines[no].rindex('"') + 1
+        lines[no] = f"{lines[no][:label_end]} {x} 0.5\n"
+    net_path.write_text("".join(lines), encoding="utf-8")
+    drawn = (out / "map.svg").read_bytes()
+    code = main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage 'export': {message.format(path=net_path)}"]
+    assert (out / "map.svg").read_bytes() == drawn
+
+
 @pytest.mark.parametrize("header", ["*Vertices 99", "*Verticesfoo", "*Vertices -3"], ids=["count", "glued", "negative"])
 def test_export_rejects_a_network_clu_header(tmp_path, capsys, header):
     out = tmp_path / "out"
@@ -833,12 +854,11 @@ def test_run_makes_no_edge_tuples(tmp_path, monkeypatch):
 
 def test_run_builds_no_per_record_views(tmp_path, monkeypatch):
     # normalize's table goes from normalize to pair counting as arrays: no record's
-    # tuple and no descriptor -> total dict is made
+    # tuple is made
     def unexpected(idx):
         raise AssertionError(f"dict view of a {len(idx.records)}-record table")
 
-    for view in ("per_record", "totals"):
-        monkeypatch.setattr(OccurrenceIndex, view, property(unexpected))
+    monkeypatch.setattr(OccurrenceIndex, "per_record", property(unexpected))
     manifest = run_pipeline(fixture_config(tmp_path / "out", windows=OUTSIDE_WINDOWS, min_occurrences=2))
     assert manifest["stages"]["net"]["edges"] > 0
 
@@ -1118,6 +1138,8 @@ def test_cli_overlapping_windows_exit_one_before_any_stage(tmp_path, capsys):
     ("vertices.csv", "foo,abc", "cluster"),
     ("vertices.csv", "Portugal,0", "cluster"),
     ("vertices.csv", "training,5", "cluster"),
+    ("vertices.csv", f"reading,{2**63}", "cluster"),  # int64 cannot hold it
+    ("edges.csv", f"academic libraries,training,{2**63}", "layout"),
     ("descriptors.csv", "r1", "net"),
 ])
 def test_cli_malformed_artifact_row_exit_one(tmp_path, capsys, name, row, stage):
@@ -1136,6 +1158,8 @@ def test_cli_malformed_artifact_row_exit_one(tmp_path, capsys, name, row, stage)
         "nope,zzz,3": f"edge end 'nope' is not a vertex of {out / 'vertices.csv'}",
         "public libraries,public libraries,1": "self-edge on 'public libraries'",
         "training,5": "vertex 'training' is listed twice",
+        f"reading,{2**63}": f"expected a positive integer count below 2**63, got '{2**63}'",
+        f"academic libraries,training,{2**63}": f"expected a positive integer count below 2**63, got '{2**63}'",
     }
     if row in reasons:
         assert err.splitlines() == [f"error in stage '{stage}': {path}:{len(lines) + 1}: {reasons[row]}"]

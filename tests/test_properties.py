@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
+import shutil
 import sys
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import MAPPING_TXT, RECORDS_CSV
 from cowordmap.cli import main
 from cowordmap.errors import csv_line
 from cowordmap.clusters import MAX_SWEEPS, ClusterPartition, _local_moving, detect_clusters, modularity
@@ -45,7 +49,7 @@ from cowordmap.records import (
     write_records,
 )
 from cowordmap.tables import DESCRIPTORS_HEADER, write_csv, write_descriptors_csv
-from cowordmap.vocabulary import OccurrenceIndex, load_mapping, match_key, normalize
+from cowordmap.vocabulary import OccurrenceIndex, descriptor_frequencies, load_mapping, match_key, normalize
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -250,7 +254,7 @@ def loose_indexes(draw, max_descriptors=10, max_records=25):
 def test_build_network_matches_brute_force_oracle(idx):
     # vertices: the descriptors with a positive total, weight descending then
     # label; edges: the oracle's pair counts over the sets cut to those vertices
-    weight = {d: c for d, c in idx.totals.items() if c > 0}
+    weight = {d: c for d, c in descriptor_frequencies(idx) if c > 0}
     labels = sorted(weight, key=lambda d: (-weight[d], d))
     at = {d: i for i, d in enumerate(labels)}
     pairs = oracles.pair_counts({rid: s & weight.keys() for rid, s in idx.per_record.items()})
@@ -295,8 +299,8 @@ def test_array_networks_match_the_tuple_reference(idx, group_of, min_occ):
     # one grouped build, whose windows are the record groups but the last, which is
     # outside them: each window's network against the tuple build of its group, and
     # the network of all records against the tuple sum of every group's, each also
-    # thresholded; descriptors that idx.totals holds at 0 are at 0 in every group too
-    zero = {d for d, c in idx.totals.items() if c == 0}
+    # thresholded; descriptors that no row of idx holds are at 0 in every group too
+    zero = {d for d, c in descriptor_frequencies(idx) if c == 0}
     refs = []
     for g in range(GROUPS):
         sets = {rid: s for k, (rid, s) in enumerate(idx.per_record.items()) if group_of[k] == g}
@@ -413,7 +417,7 @@ def test_normalize_idempotent(tmp_path_factory, table_pairs, data):
     canonical = (Record("r0", "BAD", 2005, "", None, None, tuple(sorted(first.per_record["r0"]))),)
     second = normalize(canonical, table)
     assert second.per_record == first.per_record
-    assert second.totals == first.totals
+    assert descriptor_frequencies(second) == descriptor_frequencies(first)
 
 
 _base_word = st.text(alphabet="abcéç ", min_size=1, max_size=8).map(lambda s: " ".join(s.split())).filter(bool)
@@ -441,7 +445,7 @@ def test_normalize_matches_brute_force_oracle(tmp_path_factory, words, passthrou
     idx = normalize(rs, load_mapping(path), passthrough)
     sets, totals, unmapped, tokens = oracles.normalize_tallies(keywords, oracles.read_mapping_pairs(path), passthrough)
     assert idx.per_record == {rid: tuple(sorted(s)) for rid, s in sets.items()}
-    assert idx.totals == dict(totals)
+    assert dict(descriptor_frequencies(idx)) == dict(totals)
     assert idx.unmapped == dict(unmapped)
     assert idx.token_count == tokens
 
@@ -467,7 +471,7 @@ def normalized(draw):
 def test_table_from_normalized_sets_is_the_normalized_table(case):
     _, idx = case
     assert_same_table(OccurrenceIndex.from_sets(idx.per_record), idx)
-    assert sum(map(len, idx.per_record.values())) == idx.ids.size == sum(idx.totals.values())
+    assert sum(map(len, idx.per_record.values())) == idx.ids.size == idx.occurrences.sum()
     assert np.all(np.diff(idx.indptr) >= 0) and idx.indptr[0] == 0 and idx.indptr[-1] == idx.ids.size
 
 
@@ -529,6 +533,73 @@ def test_cli_run_on_any_records_exits_zero_or_one(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:  # every label the map holds is text XML 1.0 can hold
         ElementTree.parse(work / "out" / "map.svg")
+
+
+WINDOWS = ["--windows", "2001-2006,2007-2012"]
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fixture_run") / "out"
+    with redirect_stderr(io.StringIO()):
+        assert main(["run", "--records", str(RECORDS_CSV), "--mapping", str(MAPPING_TXT), "--out", str(out),
+                     *WINDOWS]) == 0
+    return out
+
+
+# what may stand in a count or coordinate field: integers of any size and sign, floats,
+# nan and inf, and digits of other scripts, underscores, signs and exponents
+_numeric_text = st.one_of(
+    st.integers().map(str),
+    st.integers(2**62, 2**65).map(str),
+    st.just("9" * 5000),
+    st.floats().map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "-1e308", "1e308", "+3", "3_0", "٣", "３", "²", ""]),
+    st.text(alphabet="0123456789٣３²_+-.eEinfa", max_size=12),
+)
+# each artifact with such fields, and the stage that reads it
+NUMERIC_FIELDS = {"vertices.csv": "cluster", "edges.csv": "cluster", "network.net": "export"}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(name=st.sampled_from(sorted(NUMERIC_FIELDS)), text=_numeric_text, row=st.integers(0, 99),
+       column=st.integers(0, 1))
+@example(name="vertices.csv", text=str(2**63), row=0, column=0)  # int64 cannot hold it
+@example(name="edges.csv", text=str(2**63), row=0, column=0)
+@example(name="network.net", text="9" * 5000, row=0, column=0)  # the vertex count
+@example(name="network.net", text="nan", row=1, column=0)  # the first vertex's x
+@example(name="network.net", text=str(2**63), row=7, column=0)  # the first edge's weight
+def test_any_text_in_a_numeric_field_exits_zero_or_one(tmp_path_factory, fixture_run, name, text, row, column):
+    # one count (a CSV row's last field, the Pajek vertex count or an edge weight) or
+    # one coordinate (a Pajek vertex's x or y) of a fixture run is replaced by the drawn text
+    out = tmp_path_factory.mktemp("numeric") / "out"
+    shutil.copytree(fixture_run, out)
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [k for k, line in enumerate(lines) if (k or name == "network.net") and line != "*Edges"]
+    no = rows[row % len(rows)]
+    if name != "network.net":
+        lines[no] = csv_line([*next(csv.reader([lines[no]]))[:-1], text])[:-1]
+    elif no == 0:
+        lines[no] = f"*Vertices {text}"
+    elif '"' in lines[no]:  # a vertex line
+        label_end = lines[no].rindex('"') + 1
+        xy = lines[no][label_end:].split()
+        xy[column] = text
+        lines[no] = f"{lines[no][:label_end]} {' '.join(xy)}"
+    else:  # an edge line
+        lines[no] = f"{lines[no].rsplit(' ', 1)[0]} {text}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([NUMERIC_FIELDS[name], "--out", str(out), *WINDOWS])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert str(path) in err.getvalue()
+    elif name == "network.net":  # the map is drawn at finite positions
+        svg = (out / "map.svg").read_text(encoding="utf-8")
+        assert all(math.isfinite(float(v)) for v in re.findall(r' (?:cx|cy|x|y)="([^"]*)"', svg))
 
 
 @st.composite

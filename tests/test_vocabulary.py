@@ -84,7 +84,7 @@ def test_normalize_merge_then_dedupe(fixture_mapping):
     rs = record_set(["Bibliotecas públicas", "public libraries"])
     idx = normalize(rs, fixture_mapping)
     assert idx.per_record["r0"] == ("public libraries",)
-    assert idx.totals == {"public libraries": 1}
+    assert descriptor_frequencies(idx) == [("public libraries", 1)]
     assert idx.token_count == 2
 
 
@@ -109,7 +109,7 @@ def test_normalize_fixture_matches_brute_force(fixture_index):
     mapping = oracles.read_mapping_pairs(MAPPING_TXT)
     sets = oracles.descriptor_sets(rows, mapping)
     totals = oracles.occurrence_totals(sets)
-    assert fixture_index.totals == dict(totals)
+    assert dict(descriptor_frequencies(fixture_index)) == dict(totals)
     assert {rid: set(s) for rid, s in fixture_index.per_record.items()} == sets
     assert fixture_index.unmapped == {"records management": 1, "e-government": 1, "web 2.0": 1}
 
@@ -120,12 +120,12 @@ def test_normalize_idempotent(fixture_index, fixture_mapping):
         for rid, descs in fixture_index.per_record.items()
     )
     again = normalize(canonical_records, fixture_mapping)
-    assert again.totals == fixture_index.totals
+    assert descriptor_frequencies(again) == descriptor_frequencies(fixture_index)
     assert again.per_record == fixture_index.per_record
 
 
 def test_double_counting_identity(fixture_index):
-    assert sum(len(s) for s in fixture_index.per_record.values()) == sum(fixture_index.totals.values())
+    assert sum(len(s) for s in fixture_index.per_record.values()) == fixture_index.occurrences.sum()
 
 
 def test_frequencies_basic():
@@ -200,7 +200,7 @@ def test_coverage_monotone(fixture_index):
 
 def test_coverage_empty_flag():
     stats = coverage_stats(_index_with({}), 5)
-    assert stats.percent_retained == 0 and stats.no_occurrences
+    assert stats.percent_retained == 0 and stats.n_occurrences_total == 0
 
 
 def test_coverage_rejects_bad_threshold(fixture_index):
@@ -209,5 +209,5 @@ def test_coverage_rejects_bad_threshold(fixture_index):
 
 
 def test_totals_bounded_by_record_count(fixture_index, fixture_records):
-    for count in fixture_index.totals.values():
+    for count in fixture_index.occurrences.tolist():
         assert 0 <= count <= len(fixture_records)
