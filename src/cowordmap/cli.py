@@ -33,7 +33,8 @@ from typing import NamedTuple
 from . import __version__, clusters
 from .errors import InputError, StageError, content_lines
 from .layout import LayoutParams
-from .pipeline import RunConfig, RunState, parse_windows, run_pipeline, run_stage, stage_table
+from .pipeline import RunConfig, RunState, run_pipeline, run_stage, stage_table
+from .records import PeriodWindow
 from .svgmap import SvgOptions
 
 
@@ -73,6 +74,21 @@ def _bool(text: str) -> bool:
 
 def _path(text: str) -> Path | None:
     return Path(text) if text else None
+
+
+def parse_windows(text: str) -> tuple[PeriodWindow, ...]:
+    """Parse "2001-2006,2007-2012" into PeriodWindows."""
+    windows = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        start, sep, end = chunk.partition("-")
+        try:
+            windows.append(PeriodWindow(int(start), int(end if sep else start)))
+        except ValueError:
+            raise InputError(f"bad window '{chunk}', expected START-END")
+    return tuple(windows)
 
 
 def _year_range(text: str) -> tuple[int, int] | None:

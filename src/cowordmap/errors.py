@@ -1,8 +1,9 @@
 """Exception types shared across the package, the one rule for a count field
-(``positive_count``), the one reader of text files (and, through it, of
-hand-written line files and of CSV files), the one artifact writer and the one
-CSV encoder (``csv_cell``, ``csv_line``, ``write_csv``), which gives the bytes
-``csv.writer(lineterminator="\\n")`` gives: UTF-8, comma-separated, LF
+(``positive_count``) and its digit rule for any integer field (``ascii_int``),
+the one reader of text files (and, through it, of hand-written line files and
+of CSV rows), the one artifact writer (and, through it, ``write_text``) and the
+one CSV encoder (``csv_cell``, ``csv_line``, ``write_csv``), which gives the
+bytes ``csv.writer(lineterminator="\\n")`` gives: UTF-8, comma-separated, LF
 newlines, minimal quoting."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
@@ -43,6 +44,14 @@ def positive_count(text: str) -> int:
     return value
 
 
+def ascii_int(text: str) -> int:
+    """An integer field: ASCII decimal digits, the rule of ``positive_count`` (``int`` alone also takes
+    a sign, '_' and other scripts' digits); other text, or more digits than ``int`` reads, is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 @contextmanager
 def artifact_reader(path: str | Path, what: str = ""):
     """Open ``path`` as UTF-8 text (``newline=""``, line ends as stored) for the
@@ -70,10 +79,13 @@ def content_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]
             yield lineno, line
 
 
-def csv_rows(path: str | Path, header: list[str], what: str = "") -> Iterator[tuple[int, list[str]]]:
+def csv_rows(path: str | Path, header: list[str], *types: Callable[[str], object],
+             what: str = "") -> Iterator[tuple[int, Sequence]]:
     """(line number, fields) of each row below ``header`` of a CSV file read
-    through ``artifact_reader``. An empty file, another header, a row of another
-    width or one the csv module cannot read is an InputError naming the file, and
+    through ``artifact_reader``: the row's text, or with ``types`` (one per
+    field) a tuple of each field converted by its type. An empty file, another
+    header, a row of another width, one the csv module cannot read, or a field
+    its type rejects with a ValueError is an InputError naming the file, and
     the line if there is one."""
     with artifact_reader(path, what) as fh:
         reader = csv.reader(fh)
@@ -86,6 +98,11 @@ def csv_rows(path: str | Path, header: list[str], what: str = "") -> Iterator[tu
             for row in reader:
                 if len(row) != len(header):
                     raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                if types:
+                    try:
+                        row = tuple(convert(cell) for convert, cell in zip(types, row))
+                    except ValueError as exc:
+                        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
                 yield reader.line_num, row
         except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before Python 3.11
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
@@ -108,6 +125,12 @@ def artifact_writer(path: str | Path):
         if not isinstance(exc, Exception):
             raise
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``artifact_writer``."""
+    with artifact_writer(path) as fh:
+        fh.write(text)
 
 
 def csv_cell(text: str) -> str:

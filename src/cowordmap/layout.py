@@ -446,6 +446,8 @@ def normalize_unit_square(coords: np.ndarray, side: float = 1.0) -> np.ndarray:
     if largest == 0.0:
         return np.full_like(coords, side / 2.0)
     s = side / largest
+    if s == math.inf:  # a subnormal spread: divide by it first
+        return (coords - mins) / largest * side + (side - spans / largest * side) / 2.0
     return (coords - mins) * s + (side - s * spans) / 2.0
 
 

@@ -3,7 +3,9 @@
 The dialect is deliberately narrow: ``*Vertices n`` with 1-based ids and
 quoted labels (optionally followed by x y in six decimals), then ``*Edges``
 with ``i j w`` lines sorted ascending, w a count (``errors.positive_count``).
-UTF-8, LF newlines, byte-stable for a given network.
+Ids are ASCII decimal digits (``errors.ascii_int``), and coordinates ASCII
+decimal numbers with an optional sign and exponent. UTF-8, LF newlines,
+byte-stable for a given network.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from pathlib import Path
 
 from .clusters import ClusterPartition
-from .errors import InputError, artifact_reader, artifact_writer, positive_count
+from .errors import InputError, artifact_reader, ascii_int, positive_count, write_text
 from .layout import LayoutMap
 from .network import CoNetwork
 
@@ -21,6 +23,7 @@ from .network import CoNetwork
 # '"' ends a Pajek label, and map.svg cannot hold what XML 1.0 (§2.2) excludes
 LABEL_FORBIDS = "'\"', a control character other than tab (a line break among them), U+FFFE or U+FFFF"
 _FORBIDDEN = re.compile(r'["\x00-\x08\x0a-\x1f\ufffe\uffff]')
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)  # float() also takes nan, inf, "_", "١"
 
 
 def representable(label: str) -> bool:
@@ -62,16 +65,14 @@ def stored_layout(layout: LayoutMap) -> LayoutMap:
 
 
 def write_pajek_net(net: CoNetwork, layout: LayoutMap | None, path: str | Path) -> None:
-    text = format_pajek_net(net, layout)
-    with artifact_writer(path) as fh:
-        fh.write(text)
+    write_text(path, format_pajek_net(net, layout))
 
 
 def _parse_vertex_line(line: str, lineno: int, path: Path) -> tuple[int, str, tuple[float, float] | None]:
     text = line.strip()
     head, sep, rest = text.partition(" ")
     try:
-        vid = int(head)
+        vid = ascii_int(head)
     except ValueError:
         raise InputError(f"{path}:{lineno}: vertex line must start with an integer id")
     rest = rest.strip()
@@ -86,10 +87,7 @@ def _parse_vertex_line(line: str, lineno: int, path: Path) -> tuple[int, str, tu
         return vid, label, None
     if len(tail) != 2:
         raise InputError(f"{path}:{lineno}: expected 'x y' after label, got {tail!r}")
-    try:
-        x, y = float(tail[0]), float(tail[1])
-    except ValueError:
-        x = y = math.nan
+    x, y = (float(v) if _DECIMAL.fullmatch(v) else math.nan for v in tail)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(f"{path}:{lineno}: bad coordinates {tail!r}")
     return vid, label, (x, y)
@@ -147,7 +145,7 @@ def read_pajek_net(path: str | Path) -> tuple[CoNetwork, LayoutMap | None]:
         if len(parts) != 3:
             raise InputError(f"{path}:{no}: expected 'i j w', got {line.strip()!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise InputError(f"{path}:{no}: edge endpoints must be integers: {line.strip()!r}")
         if not (1 <= i <= n and 1 <= j <= n):
@@ -181,9 +179,7 @@ def format_pajek_clu(partition: ClusterPartition) -> str:
 
 
 def write_pajek_clu(partition: ClusterPartition, path: str | Path) -> None:
-    text = format_pajek_clu(partition)
-    with artifact_writer(path) as fh:
-        fh.write(text)
+    write_text(path, format_pajek_clu(partition))
 
 
 def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
@@ -199,7 +195,7 @@ def read_pajek_clu(path: str | Path, n: int) -> tuple[int, ...]:
     ids = []
     for no, text in body:
         try:
-            ids.append(int(text))
+            ids.append(ascii_int(text))
         except ValueError:
             raise InputError(f"{path}:{no}: non-integer cluster id {text!r}") from None
     try:

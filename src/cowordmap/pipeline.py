@@ -1,4 +1,5 @@
-"""End-to-end pipeline with manifest-recorded, reproducible runs.
+"""End-to-end pipeline with manifest-recorded, reproducible runs: stage logic
+only, as each file format is read and written by its own module.
 
 Every stage writes plain CSV/Pajek/SVG artifacts to the output directory.
 ``stage_table`` lists the eight stages in run order; ``run_pipeline``
@@ -37,9 +38,9 @@ from time import perf_counter
 from . import __version__
 from .clusters import ClusterPartition, cluster_summary, detect_clusters
 from .compare import compare_networks
-from .errors import InputError, StageError, artifact_writer, csv_rows, positive_count
+from .errors import InputError, StageError, write_text
 from .layout import LayoutMap, LayoutParams, layout_network
-from .network import CoNetwork, build_network, make_network, threshold_filter
+from .network import CoNetwork, build_network, make_network, threshold_filter  # make_network: traced by pipebench
 from .pajek import (LABEL_FORBIDS, read_pajek_clu, read_pajek_net, representable, stored_layout, write_pajek_clu,
                     write_pajek_net)
 from .records import (
@@ -59,9 +60,8 @@ from .records import (
 )
 from .svgmap import SvgOptions, write_label_map_svg
 from .tables import (
-    DESCRIPTORS_HEADER,
-    EDGES_HEADER,
-    VERTICES_HEADER,
+    read_descriptors_csv,
+    read_network_csv,
     write_cluster_summary_csv,
     write_compare_csv,
     write_coverage_csv,
@@ -142,21 +142,6 @@ class RunConfig:
                        "windows": [w.label for w in self.windows]}
 
 
-def parse_windows(text: str) -> tuple[PeriodWindow, ...]:
-    """Parse "2001-2006,2007-2012" into PeriodWindows."""
-    windows = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        start, sep, end = chunk.partition("-")
-        try:
-            windows.append(PeriodWindow(int(start), int(end if sep else start)))
-        except ValueError:
-            raise InputError(f"bad window '{chunk}', expected START-END")
-    return tuple(windows)
-
-
 # --- stage plumbing ---------------------------------------------------------
 
 
@@ -175,65 +160,6 @@ def _schemes(config: RunConfig) -> tuple[ClassScheme, ClassScheme]:
 
 def _period_net_path(config: RunConfig, window: PeriodWindow) -> Path:
     return config.out_dir / f"period_{window.start_year}_{window.end_year}.net"
-
-
-def _label(text: str) -> str:
-    """A descriptor field of a CSV artifact: not blank, and fit for a map label (``pajek.representable``)."""
-    if not text.strip() or not representable(text):
-        raise ValueError(f"expected a descriptor that is not blank and holds no {LABEL_FORBIDS}, got {text!r}")
-    return text
-
-
-def _csv_rows(path: Path, header: list[str], *types: Callable[[str], object]):
-    """(line number, fields) of each row of a CSV artifact, read by ``errors.csv_rows``
-    (which checks ``header`` and each row's width), one field per type, each converted
-    by its type; a field that does not convert names its file and line."""
-    for line, row in csv_rows(path, header):
-        try:
-            fields = tuple(convert(cell) for convert, cell in zip(types, row))
-        except ValueError as exc:
-            raise InputError(f"{path}:{line}: {exc}") from None
-        yield line, fields
-
-
-def _read_descriptor_sets(path: Path, state: RunState) -> OccurrenceIndex:
-    """The table of descriptors.csv: one row per record of ``state.records``, in their
-    order, with each descriptor once however the rows are ordered. The rows are read,
-    and each checked, before the records; a record id that records.csv does not hold
-    names its line."""
-    rows = list(_csv_rows(path, DESCRIPTORS_HEADER, str, _label))
-    sets: dict[str, list[str]] = {rid: [] for rid in map(attrgetter("id"), state.records)}
-    for line, (rid, descriptor) in rows:
-        if rid not in sets:
-            raise InputError(f"{path}:{line}: record {rid!r} is not in {path.with_name(RECORDS_FILE)}")
-        sets[rid].append(descriptor)
-    return OccurrenceIndex.from_sets(sets)
-
-
-def _read_network(config: RunConfig) -> CoNetwork:
-    """The network of vertices.csv and edges.csv. Each row that ``make_network`` would
-    reject, or that no records can give, is rejected here with its file and line."""
-    vpath = _require(config.out_dir / VERTICES_FILE, "net")
-    epath = _require(config.out_dir / EDGES_FILE, "net")
-    weights = {}
-    for line, (label, count) in _csv_rows(vpath, VERTICES_HEADER, _label, positive_count):
-        if label in weights:
-            raise InputError(f"{vpath}:{line}: vertex {label!r} is listed twice")
-        weights[label] = count
-    edges, seen = [], set()
-    for line, (a, b, c) in _csv_rows(epath, EDGES_HEADER, _label, _label, positive_count):
-        for end in (a, b):
-            if end not in weights:
-                raise InputError(f"{epath}:{line}: edge end {end!r} is not a vertex of {vpath}")
-        if a == b:
-            raise InputError(f"{epath}:{line}: self-edge on {a!r}")
-        if (a, b) in seen or (b, a) in seen:
-            raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} is listed twice")
-        seen.add((a, b))
-        if c > min(weights[a], weights[b]):
-            raise InputError(f"{epath}:{line}: edge {a!r}-{b!r} counts {c}, more than an end's weight in {vpath}")
-        edges.append((a, b, c))
-    return make_network(list(weights.items()), edges)
 
 
 class RunState:
@@ -259,11 +185,14 @@ class RunState:
 
     @cached_property
     def sets(self) -> OccurrenceIndex:
-        return _read_descriptor_sets(_require(self.config.out_dir / DESCRIPTORS_FILE, "normalize"), self)
+        out = self.config.out_dir
+        return read_descriptors_csv(_require(out / DESCRIPTORS_FILE, "normalize"), out / RECORDS_FILE,
+                                    lambda: self.records)
 
     @cached_property
     def net(self) -> CoNetwork:
-        return _read_network(self.config)
+        out = self.config.out_dir
+        return read_network_csv(_require(out / VERTICES_FILE, "net"), _require(out / EDGES_FILE, "net"))
 
     @cached_property
     def periods(self) -> list[CoNetwork]:
@@ -541,7 +470,5 @@ def run_pipeline(config: RunConfig) -> dict:
         "timestamps": {"started": started, "finished": datetime.now(timezone.utc).isoformat(),
                        "stage_seconds": seconds},
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    with artifact_writer(manifest_path) as fh:
-        fh.write(text)
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -17,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import Cells, InputError, content_lines, csv_cell, csv_rows, write_csv
+from .errors import Cells, InputError, ascii_int, content_lines, csv_cell, csv_rows, write_csv
 
 DEFAULT_YEAR_RANGE = (2001, 2012)
 
@@ -38,9 +38,6 @@ class ClassScheme:
             raise InputError(f"scheme '{self.name}' has no labels")
         if len(set(self.labels)) != len(self.labels):
             raise InputError(f"scheme '{self.name}' has duplicate labels")
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def parse_records(
     seen: dict[str, int] = {}
     shared = _Stripped().__getitem__  # one object per distinct keyword, source and class
     years: dict[str, int] = {}  # each distinct year cell, parsed and checked once
-    for line, row in csv_rows(path, RECORDS_HEADER, "records file "):
+    for line, row in csv_rows(path, RECORDS_HEADER, what="records file "):
         rid, source, year_text, title, class_a, class_b, keywords = map(str.strip, row)
         if not rid:
             raise InputError(f"{path}:{line}: field 'id' is empty")
@@ -129,7 +126,7 @@ def parse_records(
         year = years.get(year_text)
         if year is None:
             try:
-                year = int(year_text)
+                year = ascii_int(year_text)
             except ValueError:
                 raise InputError(f"{path}:{line}: field 'year' is not an integer: {year_text!r}")
             if year_range is not None and not (year_range[0] <= year <= year_range[1]):

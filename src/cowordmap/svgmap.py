@@ -15,7 +15,7 @@ from html import escape
 from pathlib import Path
 
 from .clusters import ClusterPartition
-from .errors import artifact_writer
+from .errors import write_text
 from .layout import LayoutMap, normalize_unit_square
 from .network import CoNetwork
 
@@ -136,6 +136,4 @@ def write_label_map_svg(
     sequence); vertices missing from it fall back to the network's own
     weights.
     """
-    text = render_label_map_svg(net, layout, partition, freq, opts)
-    with artifact_writer(path) as fh:
-        fh.write(text)
+    write_text(path, render_label_map_svg(net, layout, partition, freq, opts))

@@ -2,19 +2,24 @@
 (UTF-8, comma-separated, LF newlines, minimal quoting, as ``csv.writer``
 gives) and written by ``errors.write_csv``, imported here under its own name.
 
-The headers of the tables a later stage reads back are constants here, so
-the writer and the reader (``pipeline._csv_rows``) share one spelling."""
+Each table a later stage reads back (descriptors.csv, vertices.csv, edges.csv) has
+its header, writer and reader here; a reader takes its rows from ``errors.csv_rows``
+and rejects a row no writer gives with its file and line."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .clusters import ClusterSummary, format_legend
 from .compare import CompareReport
-from .errors import csv_cell, csv_line, write_csv
-from .network import CoNetwork
+from .errors import InputError, csv_cell, csv_line, csv_rows, positive_count, write_csv
+from .network import CoNetwork, make_network
+from .pajek import LABEL_FORBIDS, representable
+from .records import Record
 from .vocabulary import CoverageStats, OccurrenceIndex
 
 DESCRIPTORS_HEADER = ["record_id", "descriptor"]
@@ -34,6 +39,26 @@ def write_descriptors_csv(idx: OccurrenceIndex, path: str | Path) -> None:
     bounds = idx.indptr.tolist()
     heads = ((csv_cell(rid) + ",", a, b) for rid, a, b in zip(idx.records, bounds, bounds[1:]) if a < b)
     write_csv(path, DESCRIPTORS_HEADER, (head + ("\n" + head).join(gathered[a:b]) + "\n" for head, a, b in heads))
+
+
+def _label(text: str) -> str:
+    """A descriptor field of a read-back table: not blank, and fit for a map label (``pajek.representable``)."""
+    if not text.strip() or not representable(text):
+        raise ValueError(f"expected a descriptor that is not blank and holds no {LABEL_FORBIDS}, got {text!r}")
+    return text
+
+
+def read_descriptors_csv(path: Path, records_path: Path, records: Callable[[], Iterable[Record]]) -> OccurrenceIndex:
+    """The table of descriptors.csv: one row per record of ``records()`` (those of ``records_path``),
+    in their order, with each descriptor once however the rows are ordered. The rows are read, and
+    each checked, before ``records`` is called; a record id ``records_path`` does not hold names its line."""
+    rows = list(csv_rows(path, DESCRIPTORS_HEADER, str, _label))
+    sets: dict[str, list[str]] = {rid: [] for rid in map(attrgetter("id"), records())}
+    for line, (rid, descriptor) in rows:
+        if rid not in sets:
+            raise InputError(f"{path}:{line}: record {rid!r} is not in {records_path}")
+        sets[rid].append(descriptor)
+    return OccurrenceIndex.from_sets(sets)
 
 
 def write_distribution_csv(rows: list[tuple[str, int, int]], path: str | Path) -> None:
@@ -97,6 +122,31 @@ def write_edges_csv(net: CoNetwork, path: str | Path) -> None:
 def write_vertices_csv(net: CoNetwork, path: str | Path) -> None:
     weights = net.require_weights()
     write_csv(path, VERTICES_HEADER, map(csv_line, zip(net.labels, weights)))
+
+
+def read_network_csv(vertices_path: Path, edges_path: Path) -> CoNetwork:
+    """The network of vertices.csv and edges.csv. Each row that ``make_network`` would
+    reject, or that no records can give, is rejected here with its file and line."""
+    weights = {}
+    for line, (label, count) in csv_rows(vertices_path, VERTICES_HEADER, _label, positive_count):
+        if label in weights:
+            raise InputError(f"{vertices_path}:{line}: vertex {label!r} is listed twice")
+        weights[label] = count
+    edges, seen = [], set()
+    for line, (a, b, c) in csv_rows(edges_path, EDGES_HEADER, _label, _label, positive_count):
+        for end in (a, b):
+            if end not in weights:
+                raise InputError(f"{edges_path}:{line}: edge end {end!r} is not a vertex of {vertices_path}")
+        if a == b:
+            raise InputError(f"{edges_path}:{line}: self-edge on {a!r}")
+        if (a, b) in seen or (b, a) in seen:
+            raise InputError(f"{edges_path}:{line}: edge {a!r}-{b!r} is listed twice")
+        seen.add((a, b))
+        if c > min(weights[a], weights[b]):
+            raise InputError(f"{edges_path}:{line}: edge {a!r}-{b!r} counts {c}, more than an end's weight "
+                             f"in {vertices_path}")
+        edges.append((a, b, c))
+    return make_network(list(weights.items()), edges)
 
 
 def write_cluster_summary_csv(summaries: list[ClusterSummary], path: str | Path) -> None:

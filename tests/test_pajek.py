@@ -98,6 +98,14 @@ def test_read_rejects_malformed_lines(tmp_path):
     path.write_text('*Vertices 2\n2 "a"\n1 "b"\n*Edges\n', encoding="utf-8")
     with pytest.raises(InputError, match="ids must run"):
         read_pajek_net(path)
+    for text in ("١", "+1", "0_1"):  # int() takes each as 1
+        path.write_text(f'*Vertices 1\n{text} "a"\n*Edges\n', encoding="utf-8")
+        with pytest.raises(InputError, match="bad.net:2: vertex line must start with an integer id$"):
+            read_pajek_net(path)
+    for x in ("١.5", "0_5", "1e", "0x1p3", "infinity"):  # float() takes the first two; no writer writes any
+        path.write_text(f'*Vertices 2\n1 "a" 0.5 0.5\n2 "b" {x} 0.5\n*Edges\n', encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"bad.net:3: bad coordinates ['{x}', '0.5']") + "$"):
+            read_pajek_net(path)
     for x in ("nan", "inf", "1e999"):  # float() takes each, and no map can be drawn at it
         path.write_text(f'*Vertices 2\n1 "a" 0.5 0.5\n2 "b" {x} 0.5\n*Edges\n', encoding="utf-8")
         with pytest.raises(InputError, match=re.escape(f"bad.net:3: bad coordinates ['{x}', '0.5']") + "$"):
@@ -136,6 +144,13 @@ def test_read_clu_checks_its_header(tmp_path, header, message):
     clu.write_text(f"{header}\n1\n1\n2\n", encoding="utf-8")
     with pytest.raises(InputError, match=f"bad.clu:1: {message}$"):
         read_pajek_clu(clu, 3)
+
+
+def test_read_takes_signed_coordinates_with_exponents(tmp_path):
+    path = tmp_path / "signed.net"
+    path.write_text('*Vertices 2\n1 "a" -.5 +2.\n2 "b" 1e-3 5E+1\n*Edges\n1 2 1\n', encoding="utf-8")
+    _, layout = read_pajek_net(path)
+    assert layout.coords.tolist() == [[-0.5, 2.0], [0.001, 50.0]]
 
 
 def test_read_rejects_partial_coordinates(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from conftest import MAPPING_TXT, RECORDS_CSV
-from cowordmap import clusters, pipeline
+from cowordmap import clusters, pipeline, tables
 from cowordmap.cli import main
 from cowordmap.errors import InputError, StageError, csv_line
 from cowordmap.layout import LayoutParams
@@ -177,8 +177,9 @@ def test_run_reads_nothing_back(tmp_path, capsys, monkeypatch, flags):
     def unexpected(*args, **kwargs):
         raise AssertionError(f"run read {args[0]} back")
 
-    for name in ("_read_network", "read_pajek_net", "read_pajek_clu", "_read_descriptor_sets", "_csv_rows"):
+    for name in ("read_network_csv", "read_pajek_net", "read_pajek_clu", "read_descriptors_csv"):
         monkeypatch.setattr(pipeline, name, unexpected)
+    monkeypatch.setattr(tables, "csv_rows", unexpected)
     assert main([*args, "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
 
     def files(out):
@@ -232,13 +233,13 @@ def test_export_reads_the_network_once(tmp_path, capsys, monkeypatch):
     run_pipeline(fixture_config(out))
     drawn = (out / "map.svg").read_bytes()
     calls = []
-    read = pipeline._read_network
+    read = pipeline.read_network_csv
 
-    def counted(config):
-        calls.append(config.out_dir)
-        return read(config)
+    def counted(vertices_path, edges_path):
+        calls.append(vertices_path.parent)
+        return read(vertices_path, edges_path)
 
-    monkeypatch.setattr(pipeline, "_read_network", counted)
+    monkeypatch.setattr(pipeline, "read_network_csv", counted)
     assert main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"]) == 0, capsys.readouterr().err
     assert calls == [out]
     assert (out / "map.svg").read_bytes() == drawn
@@ -284,6 +285,52 @@ def test_export_rejects_coordinates_no_map_can_be_drawn_at(tmp_path, capsys, x1,
     assert code == 1, err
     assert err.splitlines() == [f"error in stage 'export': {message.format(path=net_path)}"]
     assert (out / "map.svg").read_bytes() == drawn
+
+
+def test_export_draws_coordinates_of_a_subnormal_spread(tmp_path, capsys):
+    # 1 / spread overflows for a spread near 1e-310, and 0 * inf would draw every circle at "nan"
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    net_path = out / "network.net"
+    lines = net_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for no in range(1, 7):
+        label_end = lines[no].rindex('"') + 1
+        lines[no] = f"{lines[no][:label_end]} {-1e-310 * (1 + no % 2)} 0.5\n"
+    net_path.write_text("".join(lines), encoding="utf-8")
+    code = main(["export", "--out", str(out), "--windows", "2001-2006,2007-2012"])
+    assert code == 0, capsys.readouterr().err
+    circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', (out / "map.svg").read_text(encoding="utf-8"))
+    assert len(circles) == 6
+    assert {cx for cx, _ in circles} == {"60.00", "740.00"} and {cy for _, cy in circles} == {"400.00"}
+
+
+def _with_x(text):
+    return lambda line: line.rpartition('"')[0] + f'" {text} 0.5\n'
+
+
+@pytest.mark.parametrize("name, stage, lineno, edit, message", [
+    ("network.net", "compare", 2, lambda line: "١" + line[1:], "vertex line must start with an integer id"),
+    ("network.net", "compare", 2, lambda line: "+" + line, "vertex line must start with an integer id"),
+    ("network.net", "compare", 9, lambda line: "١ +2 2\n", "edge endpoints must be integers: '١ +2 2'"),
+    ("network.net", "compare", 2, _with_x("١.5"), "bad coordinates ['١.5', '0.5']"),
+    ("network.net", "compare", 2, _with_x("0_5"), "bad coordinates ['0_5', '0.5']"),
+    ("network.clu", "export", 2, lambda line: "+" + line, "non-integer cluster id '+1'"),
+    ("network.clu", "export", 2, lambda line: "١\n", "non-integer cluster id '١'"),
+], ids=["vertex-arabic", "vertex-sign", "edge", "x-arabic", "x-underscore", "clu-sign", "clu-arabic"])
+def test_cli_pajek_numbers_take_ascii_digits_only(tmp_path, capsys, name, stage, lineno, edit, message):
+    # int() and float() take a sign, "_" and other scripts' digits, and would read each edit as the
+    # number it spells (the first vertex, edge and assignment are 1, "1 2 2" and 1); no writer writes them
+    out = tmp_path / "out"
+    run_pipeline(fixture_config(out))
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("".join(lines), encoding="utf-8")
+    args = ["--a", str(path), "--b", str(path)] if stage == "compare" else []
+    code = main([stage, *args, "--out", str(out), "--windows", "2001-2006,2007-2012"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [f"error in stage '{stage}': {path}:{lineno}: {message}"]
 
 
 @pytest.mark.parametrize("header", ["*Vertices 99", "*Verticesfoo", "*Vertices -3"], ids=["count", "glued", "negative"])
@@ -777,11 +824,11 @@ def test_run_parses_records_once(tmp_path, monkeypatch):
         calls.append(args[0])
         return parse(*args, **kwargs)
 
-    def unexpected(path):
+    def unexpected(path, *args):
         raise AssertionError(f"run read {path} back")
 
     monkeypatch.setattr(pipeline, "parse_records", counted)
-    monkeypatch.setattr(pipeline, "_read_descriptor_sets", unexpected)
+    monkeypatch.setattr(pipeline, "read_descriptors_csv", unexpected)
     run_pipeline(fixture_config(tmp_path / "out"))
     assert calls == [RECORDS_CSV]
 

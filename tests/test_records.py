@@ -98,6 +98,9 @@ def test_parse_errors_name_lines(tmp_path):
     ("id,source,year,title,class_a,class_b\na,BAD,2004,T,,\n", 1, "bad header 'id,source,year,title,class_a,class_b'"),
     (HEADER + "a,BAD,2004,T,,,k\n ,BAD,2004,T,,,k\n", 3, "field 'id' is empty"),
     (HEADER + "a, ,2004,T,,,k\n", 2, "field 'source' is empty"),
+    (HEADER + "a,BAD,٢٠٠٥,T,,,k\n", 2, "field 'year' is not an integer: '٢٠٠٥'"),  # int() takes it
+    (HEADER + "a,BAD,2004,T,,,k\nb,BAD,+2005,T,,,k\n", 3, "field 'year' is not an integer: '+2005'"),
+    (HEADER + "a,BAD,2_005,T,,,k\n", 2, "field 'year' is not an integer: '2_005'"),
     (HEADER + "a,BAD,2004,T,X,P,k\nb,BAD,2004,T,X,Nope,k\n", 3,
      "field 'class_b' label 'Nope' not in scheme 'y'"),
 ])
